@@ -9,8 +9,10 @@ documented as reconstructions, not ground truth.
 Reproducibility contract: identical config + seed produce byte-identical
 CSVs.  Per-point Monte Carlo seeds are derived deterministically from
 (master seed, point index) via ``numpy.random.SeedSequence``.  Overlap
-values in sweep rows come from the Monte Carlo estimator, which stays
-accurate in strongly phased regimes where fixed-order quadrature does not.
+values in sweep rows still come from the Monte Carlo estimator, one call per
+protocol, so that ``--mc-samples`` and the seed keep their meaning; its
+standard error at the default 200k samples is ~1e-3, against ~1e-11 for
+``numerics.zeta``.
 """
 
 from __future__ import annotations
@@ -184,11 +186,13 @@ def _sweep_row(spec: ExperimentSpec, config: GateConfig, param: str,
                value: float, index: int) -> dict:
     """Evaluate the full metric column set for one sweep point."""
     seed = _point_seed(spec.seed, index)
-    z, _ = zeta_mc_oracle(config, n_samples=spec.mc_samples, seed=seed)
     zd, _ = zeta_mc_oracle(config.replace(protocol=Direct()),
                            n_samples=spec.mc_samples, seed=seed)
     zs, _ = zeta_mc_oracle(config.replace(protocol=Swap()),
                            n_samples=spec.mc_samples, seed=seed)
+    # the estimator reads only the protocol's kind, so the configured
+    # protocol's overlap is one of the two, from the same seed
+    z = zs if isinstance(config.protocol, Swap) else zd
     coeffs = expansion_coefficients(config)
     eff = pair_efficiency(config)
     row = {

@@ -197,3 +197,20 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
+
+
+def test_readme_documents_every_config_key():
+    import re
+    from pathlib import Path
+
+    from rydgate.core import _SECTION_KEYS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Sections and keys:", 1)[1].split("\n\n", 2)[1]
+    documented = set()
+    for row in table.splitlines()[2:]:
+        sections, keys = (re.findall(r"`([^`]+)`", cell)
+                          for cell in row.split("|")[1:3])
+        documented |= {(s, k) for s in sections for k in keys}
+    expected = {(s, k) for s, keys in _SECTION_KEYS.items() for k in keys}
+    assert documented == expected

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -98,8 +99,58 @@ class TestZeta:
         assert abs(z.imag - zm.imag) < 3 * se.imag
 
     def test_accuracy_warning_in_strong_phase_regime(self, paper_point):
+        # the paper point is converged at the default level; the lowest
+        # level is not, and doubling it must say so
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            zeta(paper_point)
         with pytest.warns(AccuracyWarning):
-            zeta(paper_point, nodes=64, check=True)
+            zeta(paper_point, nodes=8, check=True)
+
+    @pytest.mark.parametrize("protocol", [Direct(), Swap()])
+    def test_headline_converged(self, paper_point, protocol):
+        c = paper_point.replace(protocol=protocol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            z = zeta(c)
+        assert abs(z - zeta(c, nodes=256, check=False)) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [(1.0, 0.0), (0.0, 1.0), (-0.6, 0.8)])
+    def test_swap_error_matches_mc_oracle(self, paper_point, eps):
+        c = paper_point.replace(protocol=Swap())
+        z = zeta(c, eps_par=eps[0], eps_perp=eps[1])
+        zm, se = zeta_mc_oracle(c, n_samples=1_000_000, seed=17,
+                                eps_par=eps[0], eps_perp=eps[1])
+        assert abs(z.real - zm.real) < 4 * se.real
+        assert abs(z.imag - zm.imag) < 4 * se.imag
+
+    def test_small_transverse_error_converges_to_none(self, paper_point):
+        c = paper_point.replace(protocol=Swap())
+        # zeta is even in eps_perp, so it moves by O(eps_perp^2) ~ 1e-12
+        assert abs(zeta(c, eps_perp=1e-5) - zeta(c)) < 1e-10
+
+    def test_near_singularity_stays_fast(self):
+        # criterion 8's widest point: d / std = 7 along the separation, so
+        # the phase cap, not the Gaussian tail, ends the quadrature range
+        c = make_config(d=40, w_par=8, w_perp=8, protocol=Swap(), ext=4.0)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AccuracyWarning)
+                zeta(c)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.1
+
+    def test_level_out_of_range(self, paper_point):
+        for nodes in (4, 512):
+            with pytest.raises(ValueError):
+                zeta(paper_point, nodes=nodes, check=False)
+
+    def test_phase_beyond_cap_at_mean_rejected(self, paper_point):
+        # pi rad in 5 us, so 3e4 rad at the mean separation in 5e4 us
+        with pytest.raises(PhysicsError):
+            zeta(paper_point.replace(t_int=5e4))
 
     def test_overlapping_clouds_rejected(self):
         with pytest.raises(OverlapError):
@@ -273,8 +324,10 @@ class TestSwapErrorAverage:
         c = paper_point.replace(protocol=Swap())
         mean, std = swap_error_average_fidelity(c, "par", 0.0, seed=1)
         assert std == 0.0
-        assert mean == pytest.approx(
-            fidelity_from_zeta(zeta(c, check=False)), abs=1e-12)
+        # zero sigma uses the quadrature nodes of the sampled errors, so the
+        # small-sigma limit meets it
+        tiny, _ = swap_error_average_fidelity(c, "par", 1e-12, n_samples=2, seed=1)
+        assert mean == pytest.approx(tiny, abs=1e-12)
 
     def test_seeded_reproducible(self, paper_point):
         from rydgate.numerics import swap_error_average_fidelity
