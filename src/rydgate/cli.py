@@ -17,7 +17,7 @@ from .core import (
     ConfigError,
     PhysicsError,
     calibrate_c6,
-    load_config,
+    read_ini,
     validate_config,
 )
 from .core import _parse_float  # shared "pi" literal handling
@@ -41,12 +41,7 @@ DEFAULT_CONFIG_RAW = {
 
 def _raw_from_args(args) -> dict:
     if args.config:
-        import configparser
-
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not parser.read(args.config):
-            raise ConfigError(f"cannot read config file {args.config}")
-        raw = {s: dict(parser.items(s)) for s in parser.sections()}
+        raw = read_ini(args.config)
     else:
         raw = {section: dict(keys) for section, keys in DEFAULT_CONFIG_RAW.items()}
     for item in args.set or []:
@@ -71,19 +66,18 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    flat = {}
+    usage = ("calibrate needs --set separation=<um> --set time=<us> "
+             "[--set phase=<rad|pi>]")
+    keys = ("separation", "time", "phase")
+    flat = {"phase": "pi"}
     for item in args.set or []:
-        key, _, value = item.partition("=")
+        key, eq, value = item.partition("=")
+        if not eq or key.strip() not in keys:
+            raise ConfigError(f"--set {item!r}: {usage}")
         flat[key.strip()] = value
-    try:
-        d = _parse_float(flat["separation"], "separation")
-        t = _parse_float(flat.get("time", flat.get("t", "")), "time")
-        phase = _parse_float(flat.get("phase", "pi"), "phase")
-    except KeyError as exc:
-        raise ConfigError(
-            "calibrate needs --set separation=<um> --set time=<us> "
-            "[--set phase=<rad|pi>]"
-        ) from exc
+    if len(flat) < len(keys):
+        raise ConfigError(usage)
+    d, t, phase = (_parse_float(flat[key], key) for key in keys)
     c6 = calibrate_c6(d, t, phase)
     print(f"c6 = {c6:.6g} rad*um^6/us "
           f"(separation {d:g} um, time {t:g} us, phase {phase:g} rad)")
@@ -103,7 +97,7 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"unknown experiment {name!r} "
                           f"(see 'rydgate list-experiments')")
     if args.sweep:
-        values = tuple(float(v) for v in args.sweep.split(","))
+        values = tuple(_parse_float(v, "--sweep") for v in args.sweep.split(","))
         param, _ = default_sweep(name)
     else:
         param, values = default_sweep(name)

@@ -54,7 +54,6 @@ from .numerics import (
 EXPERIMENT_NAMES = (
     "momentum-map",
     "fidelity-vs-separation",
-    "efficiency-vs-separation",
     "fidelity-vs-width",
     "entropy-vs-fidelity",
     "swap-error",
@@ -113,6 +112,8 @@ class ExperimentSpec:
         values = tuple(float(v) for v in self.sweep_values)
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+        if self.mc_samples < 1:
+            raise ConfigError("mc_samples must be >= 1")
         diffs = np.diff(values)
         if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep values must be strictly monotone")
@@ -120,7 +121,7 @@ class ExperimentSpec:
 
 def default_sweep(name: str) -> tuple[str, tuple[float, ...]]:
     """Reconstructed default sweep for each experiment name."""
-    if name in ("fidelity-vs-separation", "efficiency-vs-separation"):
+    if name == "fidelity-vs-separation":
         return "separation", tuple(float(d) for d in range(15, 31))
     if name == "fidelity-vs-width":
         return "width", (8.0, 7.0, 6.0, 5.0, 4.0, 3.0)
@@ -146,7 +147,6 @@ def _profile_dict(p) -> dict:
 
 
 def config_to_dict(config: GateConfig) -> dict:
-    proto = config.protocol
     return {
         "profile1": _profile_dict(config.profile1),
         "profile2": _profile_dict(config.profile2),
@@ -154,12 +154,7 @@ def config_to_dict(config: GateConfig) -> dict:
         "c6": config.c6,
         "c6_calibrated": config.c6_calibrated,
         "t_int": config.t_int,
-        "protocol": (
-            {"name": "swap", "err_sigma_par": proto.err_sigma_par,
-             "err_sigma_perp": proto.err_sigma_perp}
-            if isinstance(proto, Swap)
-            else {"name": "direct"}
-        ),
+        "protocol": {"name": type(config.protocol).__name__.lower()},
         "grid": {
             "points_per_axis": config.grid.points_per_axis,
             "extent_sigmas": config.grid.extent_sigmas,
@@ -242,7 +237,7 @@ def _iter_sweep_configs(spec: ExperimentSpec):
     name = spec.name
     param = spec.sweep_param
     for value in spec.sweep_values:
-        if name in ("fidelity-vs-separation", "efficiency-vs-separation"):
+        if name == "fidelity-vs-separation":
             yield value, _with_separation(spec.base, value), param
         elif name == "entropy-vs-fidelity":
             yield value, spec.base.replace(c6=spec.base.c6 * value), param
@@ -287,8 +282,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     points: list[dict] = []
     rows: list[dict] = []
 
-    if spec.name in ("fidelity-vs-separation", "efficiency-vs-separation",
-                     "fidelity-vs-width", "entropy-vs-fidelity"):
+    if spec.name in ("fidelity-vs-separation", "fidelity-vs-width",
+                     "entropy-vs-fidelity"):
         for index, (value, config, param) in enumerate(_iter_sweep_configs(spec)):
             try:
                 with warnings.catch_warnings():

@@ -154,9 +154,15 @@ class TestValidateConfig:
             validate_config(raw_config)
 
     def test_swap_protocol(self, raw_config):
-        raw_config["protocol"] = {"name": "swap", "err_sigma_par": "0.5"}
+        raw_config["protocol"] = {"name": "swap"}
         config = validate_config(raw_config)
-        assert config.protocol == Swap(err_sigma_par=0.5)
+        assert config.protocol == Swap()
+
+    def test_error_sigma_keys_rejected(self, raw_config):
+        # a placement error is an argument of the computations that use it
+        raw_config["protocol"] = {"name": "swap", "err_sigma_par": "0.5"}
+        with pytest.raises(ConfigError, match="protocol.err_sigma_par"):
+            validate_config(raw_config)
 
     def test_bad_protocol_name(self, raw_config):
         raw_config["protocol"] = {"name": "teleport"}
@@ -176,6 +182,25 @@ class TestValidateConfig:
     def test_non_numeric(self, raw_config):
         raw_config["profile1"]["w_par"] = "wide"
         with pytest.raises(ConfigError, match="profile1.w_par"):
+            validate_config(raw_config)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "seed", "inf"),
+        ("run", "seed", "nan"),
+        ("interaction", "c6", "nan"),
+        ("interaction", "t_int", "nan"),
+        ("loss", "temperature", "nan"),
+        ("geometry", "separation", "21 nan 0"),
+    ])
+    def test_non_finite_rejected(self, raw_config, section, key, value):
+        raw_config["interaction"] = {"c6": "5.4e7", "t_int": "5"}
+        raw_config.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: not a finite"):
+            validate_config(raw_config)
+
+    def test_profile_check_names_section(self, raw_config):
+        raw_config["profile2"]["w_par"] = "0"
+        with pytest.raises(ConfigError, match="profile2"):
             validate_config(raw_config)
 
 

@@ -130,9 +130,8 @@ class TestRunExperiment:
                                  "after_1", "after_2"]
 
     def test_config_roundtrip_dict(self, paper_point):
-        d = config_to_dict(paper_point.replace(protocol=Swap(0.5, 0.1)))
-        assert d["protocol"] == {"name": "swap", "err_sigma_par": 0.5,
-                                 "err_sigma_perp": 0.1}
+        d = config_to_dict(paper_point.replace(protocol=Swap()))
+        assert d["protocol"] == {"name": "swap"}
         assert json.dumps(d)  # serializable
 
 
@@ -173,6 +172,26 @@ class TestCli:
 
     def test_calibrate_missing_args(self, capsys):
         assert cli.main(["calibrate", "--set", "time=5"]) == 2
+
+    @pytest.mark.parametrize("item", ["phse=2", "t=5", "phase"])
+    def test_calibrate_bad_item_exits_2(self, capsys, item):
+        code = cli.main(["calibrate", "--set", "separation=21",
+                         "--set", "time=5", "--set", item])
+        assert code == 2
+        assert item in capsys.readouterr().err
+
+    def test_run_bad_sweep_exits_2(self, tmp_path, capsys):
+        code = cli.main(["run", "--experiment", "entropy-vs-fidelity",
+                         "--sweep", "a,b", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--sweep" in capsys.readouterr().err
+
+    def test_run_zero_mc_samples_exits_2(self, tmp_path, capsys):
+        code = cli.main(["run", "--experiment", "entropy-vs-fidelity",
+                         "--mc-samples", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "mc_samples" in capsys.readouterr().err
+        assert not (tmp_path / "entropy-vs-fidelity").exists()
 
     def test_run_small_sweep(self, tmp_path, capsys):
         code = cli.main([

@@ -324,10 +324,21 @@ class TestSwapErrorAverage:
         c = paper_point.replace(protocol=Swap())
         mean, std = swap_error_average_fidelity(c, "par", 0.0, seed=1)
         assert std == 0.0
-        # zero sigma uses the quadrature nodes of the sampled errors, so the
+        # zero sigma uses the quadrature level of the sampled errors, so the
         # small-sigma limit meets it
         tiny, _ = swap_error_average_fidelity(c, "par", 1e-12, n_samples=2, seed=1)
         assert mean == pytest.approx(tiny, abs=1e-12)
+
+    def test_zero_sigma_matches_zeta(self, paper_point):
+        from rydgate.numerics import swap_error_average_fidelity
+        c = paper_point.replace(protocol=Swap())
+        mean, _ = swap_error_average_fidelity(c, "par", 0.0)
+        assert mean == pytest.approx(fidelity_from_zeta(zeta(c)), abs=1e-5)
+
+    def test_no_interaction(self, paper_point):
+        from rydgate.numerics import swap_error_average_fidelity
+        c = paper_point.replace(protocol=Swap(), t_int=0.0)
+        assert swap_error_average_fidelity(c, "perp", 0.5, n_samples=4) == (0.5, 0.0)
 
     def test_seeded_reproducible(self, paper_point):
         from rydgate.numerics import swap_error_average_fidelity
