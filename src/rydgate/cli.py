@@ -147,8 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default $RYDGATE_OUT or ./rydgate-out)")
     run.add_argument("--sweep", help="comma-separated sweep values "
                      "(default: built-in range)")
-    run.add_argument("--mc-samples", type=int, default=200_000,
-                     help="Monte Carlo samples per overlap estimate")
+    run.add_argument("--mc-samples", type=int, default=None,
+                     help="Monte Carlo samples of an independent overlap "
+                          "cross-check written to the zeta_mc_* columns "
+                          "(default: no cross-check)")
     run.set_defaults(func=_cmd_run)
 
     val = sub.add_parser("validate", help="validate a configuration")

@@ -415,7 +415,13 @@ def validate_config(raw: dict) -> GateConfig:
                 "interaction.c6: missing required key "
                 "(provide c6, or calibrate_time with calibrate_phase)"
             )
-        c6 = calibrate_c6(d, cal_time, cal_phase)
+        try:
+            c6 = calibrate_c6(d, cal_time, cal_phase)
+        except ConfigError as exc:
+            # the separation is non-zero here, and calibrate_c6 checks the
+            # time before the phase
+            key = "calibrate_time" if cal_time <= 0 else "calibrate_phase"
+            raise ConfigError(f"interaction.{key}: {exc}") from None
         calibrated = True
     elif cal_time is not None or cal_phase is not None:
         raise ConfigError("interaction.c6: give either c6 or the calibration pair, not both")

@@ -6,13 +6,18 @@ entropy-fidelity relation, swap positioning errors, and retrieval angles).
 Sweep defaults reconstruct the visible axis ranges of those studies and are
 documented as reconstructions, not ground truth.
 
+Every overlap in a sweep row comes from ``numerics.zeta`` with its accuracy
+check, the one entry point that also enforces the singularity guard, so a
+point the guard rejects is written as a failed row that gives the reason.
+Warnings raised while a point is evaluated are recorded in its row and its
+manifest entry.  The Monte Carlo oracle runs only when ``mc_samples`` is
+set: one call for the configured protocol fills the ``zeta_mc_*`` columns as
+a cross-check.
+
 Reproducibility contract: identical config + seed produce byte-identical
-CSVs.  Per-point Monte Carlo seeds are derived deterministically from
-(master seed, point index) via ``numpy.random.SeedSequence``.  Overlap
-values in sweep rows still come from the Monte Carlo estimator, one call per
-protocol, so that ``--mc-samples`` and the seed keep their meaning; its
-standard error at the default 200k samples is ~1e-3, against ~1e-11 for
-``numerics.zeta``.
+CSVs.  Per-point Monte Carlo seeds (for the ``zeta_mc_*`` columns and the
+swap-error samples) are derived deterministically from (master seed, point
+index) via ``numpy.random.SeedSequence``.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from .numerics import (
     momentum_centroid,
     momentum_map,
     phased_joint_grid,
+    swap_error_average_fidelity,
+    zeta,
     zeta_mc_oracle,
 )
 
@@ -67,6 +74,9 @@ SWEEP_COLUMNS = (
     "status",
     "zeta_re",
     "zeta_im",
+    "zeta_mc_re",
+    "zeta_mc_im",
+    "zeta_mc_se",
     "F_direct",
     "F_swap",
     "kD_analytic",
@@ -80,6 +90,7 @@ SWEEP_COLUMNS = (
     "eta_pair",
     "t_pi",
     "error",
+    "warnings",
 )
 
 SWAP_ERROR_COLUMNS = (
@@ -91,6 +102,7 @@ SWAP_ERROR_COLUMNS = (
     "F_mean_perp",
     "F_std_perp",
     "error",
+    "warnings",
 )
 
 
@@ -104,7 +116,7 @@ class ExperimentSpec:
     sweep_param: str = ""
     sweep_values: tuple = ()
     seed: int = 0
-    mc_samples: int = 200_000
+    mc_samples: int | None = None    # Monte Carlo cross-check samples; None: off
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
@@ -112,7 +124,7 @@ class ExperimentSpec:
         values = tuple(float(v) for v in self.sweep_values)
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "output_dir", Path(self.output_dir))
-        if self.mc_samples < 1:
+        if self.mc_samples is not None and self.mc_samples < 1:
             raise ConfigError("mc_samples must be >= 1")
         diffs = np.diff(values)
         if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
@@ -180,13 +192,8 @@ def _with_separation(config: GateConfig, d: float) -> GateConfig:
 def _sweep_row(spec: ExperimentSpec, config: GateConfig, param: str,
                value: float, index: int) -> dict:
     """Evaluate the full metric column set for one sweep point."""
-    seed = _point_seed(spec.seed, index)
-    zd, _ = zeta_mc_oracle(config.replace(protocol=Direct()),
-                           n_samples=spec.mc_samples, seed=seed)
-    zs, _ = zeta_mc_oracle(config.replace(protocol=Swap()),
-                           n_samples=spec.mc_samples, seed=seed)
-    # the estimator reads only the protocol's kind, so the configured
-    # protocol's overlap is one of the two, from the same seed
+    zd = zeta(config.replace(protocol=Direct()))
+    zs = zeta(config.replace(protocol=Swap()))
     z = zs if isinstance(config.protocol, Swap) else zd
     coeffs = expansion_coefficients(config)
     eff = pair_efficiency(config)
@@ -196,6 +203,9 @@ def _sweep_row(spec: ExperimentSpec, config: GateConfig, param: str,
         "status": "ok",
         "zeta_re": z.real,
         "zeta_im": z.imag,
+        "zeta_mc_re": "",
+        "zeta_mc_im": "",
+        "zeta_mc_se": "",
         "F_direct": fidelity_from_zeta(zd),
         "F_swap": fidelity_from_zeta(zs),
         "kD_analytic": coeffs.k_D,
@@ -210,6 +220,10 @@ def _sweep_row(spec: ExperimentSpec, config: GateConfig, param: str,
         "t_pi": eff.t_pi,
         "error": "",
     }
+    if spec.mc_samples is not None:
+        z_mc, se = zeta_mc_oracle(config, n_samples=spec.mc_samples,
+                                  seed=_point_seed(spec.seed, index))
+        row.update(zeta_mc_re=z_mc.real, zeta_mc_im=z_mc.imag, zeta_mc_se=abs(se))
     # grid metrics are skipped (not fatal) when the slice would cross the
     # pair singularity; the overlap and efficiency columns stay valid
     try:
@@ -225,11 +239,36 @@ def _sweep_row(spec: ExperimentSpec, config: GateConfig, param: str,
     return row
 
 
-def _failed_row(columns, param, value, exc) -> dict:
-    row = {c: "" for c in columns}
-    row.update(sweep_param=param, sweep_value=value, status="failed",
-               error=f"{type(exc).__name__}: {exc}")
-    return row
+def _evaluate_point(columns, param, value, compute, *args) -> tuple[dict, dict]:
+    """CSV row and manifest entry of one sweep point, ``compute(*args)``.
+
+    A physics failure becomes a failed row that gives the reason; every
+    warning raised while the point is evaluated is recorded in both.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            row = compute(*args)
+        except Exception as exc:  # noqa: BLE001 - recorded, not silenced
+            row = {c: "" for c in columns}
+            row.update(sweep_param=param, sweep_value=value, status="failed",
+                       error=f"{type(exc).__name__}: {exc}")
+    raised = [f"{w.category.__name__}: {w.message}" for w in caught]
+    row["warnings"] = " | ".join(raised)
+    point = {"param": param, "value": value, "status": row["status"]}
+    if row["error"]:
+        point["error"] = row["error"]
+    point["warnings"] = raised
+    return row, point
+
+
+def _swap_error_row(base: GateConfig, value: float, seed: int) -> dict:
+    """Mean and spread of the swap fidelity under one positioning-error width."""
+    mp, sp = swap_error_average_fidelity(base, "par", value, n_samples=400, seed=seed)
+    mq, sq = swap_error_average_fidelity(base, "perp", value, n_samples=400, seed=seed)
+    return {"sweep_param": "err_sigma", "sweep_value": value, "status": "ok",
+            "F_mean_par": mp, "F_std_par": sp, "F_mean_perp": mq, "F_std_perp": sq,
+            "error": ""}
 
 
 def _iter_sweep_configs(spec: ExperimentSpec):
@@ -285,41 +324,24 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     if spec.name in ("fidelity-vs-separation", "fidelity-vs-width",
                      "entropy-vs-fidelity"):
         for index, (value, config, param) in enumerate(_iter_sweep_configs(spec)):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    rows.append(_sweep_row(spec, config, param, value, index))
-                points.append({"param": param, "value": value, "status": "ok"})
-            except Exception as exc:  # noqa: BLE001 - recorded, not silenced
-                rows.append(_failed_row(SWEEP_COLUMNS, param, value, exc))
-                points.append({"param": param, "value": value,
-                               "status": "failed", "error": str(exc)})
+            row, point = _evaluate_point(SWEEP_COLUMNS, param, value, _sweep_row,
+                                         spec, config, param, value, index)
+            rows.append(row)
+            points.append(point)
         csv_path = outdir / f"{spec.name}.csv"
         _write_csv(csv_path, SWEEP_COLUMNS, rows)
         outputs.append(csv_path.name)
 
     elif spec.name == "swap-error":
-        from .numerics import swap_error_average_fidelity
         base = spec.base
         if not isinstance(base.protocol, Swap):
             base = base.replace(protocol=Swap())
         for index, value in enumerate(spec.sweep_values):
-            try:
-                seed = _point_seed(spec.seed, index)
-                mp, sp = swap_error_average_fidelity(
-                    base, "par", value, n_samples=400, seed=seed)
-                mq, sq = swap_error_average_fidelity(
-                    base, "perp", value, n_samples=400, seed=seed)
-                rows.append({
-                    "sweep_param": "err_sigma", "sweep_value": value,
-                    "status": "ok", "F_mean_par": mp, "F_std_par": sp,
-                    "F_mean_perp": mq, "F_std_perp": sq, "error": "",
-                })
-                points.append({"param": "err_sigma", "value": value, "status": "ok"})
-            except Exception as exc:  # noqa: BLE001
-                rows.append(_failed_row(SWAP_ERROR_COLUMNS, "err_sigma", value, exc))
-                points.append({"param": "err_sigma", "value": value,
-                               "status": "failed", "error": str(exc)})
+            row, point = _evaluate_point(SWAP_ERROR_COLUMNS, "err_sigma", value,
+                                         _swap_error_row, base, value,
+                                         _point_seed(spec.seed, index))
+            rows.append(row)
+            points.append(point)
         csv_path = outdir / "swap-error.csv"
         _write_csv(csv_path, SWAP_ERROR_COLUMNS, rows)
         outputs.append(csv_path.name)

@@ -4,24 +4,43 @@ import math
 
 import pytest
 
-from rydgate.core import ConfigError, Swap
+from rydgate.core import ConfigError, Direct, Swap
 from rydgate.harness import (
     EXPERIMENT_NAMES,
     SWAP_ERROR_COLUMNS,
     SWEEP_COLUMNS,
     ExperimentSpec,
+    _with_separation,
     config_to_dict,
     default_sweep,
     run_experiment,
 )
+from rydgate.numerics import fidelity_from_zeta, zeta
 from rydgate import cli
 
 from conftest import make_config
 
 
+MC_COLUMNS = ("zeta_mc_re", "zeta_mc_im", "zeta_mc_se")
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def width_sweep(tmp_path_factory):
+    """Default-range width sweep at d = 21: guard failure, grid skip, warning."""
+    out = tmp_path_factory.mktemp("width")
+    spec = ExperimentSpec(
+        name="fidelity-vs-width", base=make_config(), output_dir=out,
+        sweep_param="width", sweep_values=(8.0, 6.0, 5.0))
+    manifest = run_experiment(spec)
+    rows = {(r["sweep_param"], float(r["sweep_value"])): r
+            for r in read_rows(out / "fidelity-vs-width.csv")}
+    points = {(p["param"], p["value"]): p for p in manifest["points"]}
+    return rows, points
 
 
 class TestSpec:
@@ -71,6 +90,7 @@ class TestRunExperiment:
         assert out[0] == out[1]
 
     def test_seed_changes_results(self, tmp_path, paper_point):
+        # the seed drives only the Monte Carlo cross-check columns
         out = []
         for sub, seed in (("a", 1), ("b", 2)):
             spec = ExperimentSpec(
@@ -78,26 +98,71 @@ class TestRunExperiment:
                 output_dir=tmp_path / sub, sweep_param="c6_scale",
                 sweep_values=(1.0,), seed=seed, mc_samples=20_000)
             run_experiment(spec)
-            out.append((tmp_path / sub / "entropy-vs-fidelity.csv").read_bytes())
-        assert out[0] != out[1]
+            out.append(tmp_path / sub / "entropy-vs-fidelity.csv")
+        assert out[0].read_bytes() != out[1].read_bytes()
+        (a,), (b,) = read_rows(out[0]), read_rows(out[1])
+        assert [c for c in SWEEP_COLUMNS if a[c] != b[c]] == list(MC_COLUMNS)
 
-    def test_width_sweep_degrades_gracefully(self, tmp_path, paper_point):
-        # w=8 at d=21 puts the slice across the singularity: grid metrics
-        # must be skipped, overlap columns still filled, run still succeeds
+    def test_mc_columns_cross_check_zeta(self, tmp_path, paper_point):
+        for sub, samples in (("off", None), ("on", 20_000)):
+            spec = ExperimentSpec(
+                name="entropy-vs-fidelity", base=paper_point,
+                output_dir=tmp_path / sub, sweep_param="c6_scale",
+                sweep_values=(0.5, 1.0), seed=5, mc_samples=samples)
+            run_experiment(spec)
+            rows = read_rows(tmp_path / sub / "entropy-vs-fidelity.csv")
+            if samples is None:
+                assert all(r[c] == "" for r in rows for c in MC_COLUMNS)
+                continue
+            for r in rows:
+                z = complex(float(r["zeta_re"]), float(r["zeta_im"]))
+                z_mc = complex(float(r["zeta_mc_re"]), float(r["zeta_mc_im"]))
+                se = float(r["zeta_mc_se"])
+                assert 0 < se < 0.01
+                assert abs(z_mc - z) <= 6 * se
+
+    def test_sweep_rows_equal_zeta(self, tmp_path, paper_point):
+        # every row overlap is the guarded, checked quadrature's, bit for bit
         spec = ExperimentSpec(
-            name="fidelity-vs-width", base=paper_point, output_dir=tmp_path,
-            sweep_param="width", sweep_values=(8.0, 3.0), seed=0,
-            mc_samples=10_000)
-        manifest = run_experiment(spec)
-        rows = read_rows(tmp_path / "fidelity-vs-width.csv")
-        assert len(rows) == 4  # two series per sweep value
-        wide_par = [r for r in rows if r["sweep_param"] == "profile.w_par"
-                    and float(r["sweep_value"]) == 8.0][0]
-        assert wide_par["status"] == "ok"
-        assert wide_par["entropy"] == ""
-        assert "skipped" in wide_par["error"]
-        assert wide_par["zeta_re"] != ""
-        assert all(p["status"] == "ok" for p in manifest["points"])
+            name="fidelity-vs-separation", base=paper_point,
+            output_dir=tmp_path, sweep_param="separation",
+            sweep_values=(17.0, 25.0))
+        run_experiment(spec)
+        for r in read_rows(tmp_path / "fidelity-vs-separation.csv"):
+            config = _with_separation(paper_point, float(r["sweep_value"]))
+            zd = zeta(config.replace(protocol=Direct()))
+            zs = zeta(config.replace(protocol=Swap()))
+            assert r["status"] == "ok" and r["warnings"] == ""
+            assert complex(float(r["zeta_re"]), float(r["zeta_im"])) == zd
+            assert float(r["F_direct"]) == fidelity_from_zeta(zd)
+            assert float(r["F_swap"]) == fidelity_from_zeta(zs)
+
+    def test_width_sweep_degrades_gracefully(self, width_sweep):
+        rows, points = width_sweep
+        assert len(rows) == 6  # two series per sweep value
+        # w_par = 8 at d = 21: the singularity guard rejects the overlap
+        wide = rows["profile.w_par", 8.0]
+        assert wide["status"] == "failed"
+        assert wide["error"].startswith("OverlapError")
+        assert all(wide[c] == "" for c in ("zeta_re", "zeta_im", "F_direct", "F_swap"))
+        assert points["profile.w_par", 8.0]["status"] == "failed"
+        assert "OverlapError" in points["profile.w_par", 8.0]["error"]
+        # w_par = 5 passes the guard, but its slice reaches the singularity:
+        # grid metrics are skipped, the overlap columns stay valid
+        narrow = rows["profile.w_par", 5.0]
+        assert narrow["status"] == "ok"
+        assert narrow["error"].startswith("grid metrics skipped")
+        assert narrow["entropy"] == ""
+        assert all(narrow[c] != "" for c in ("zeta_re", "zeta_im", "F_direct", "F_swap"))
+        assert all(rows["profile.w_perp", w]["status"] == "ok" for w in (8.0, 6.0, 5.0))
+
+    def test_width_sweep_records_warnings(self, width_sweep):
+        rows, points = width_sweep
+        assert "AccuracyWarning" in rows["profile.w_par", 6.0]["warnings"]
+        assert any("AccuracyWarning" in w
+                   for w in points["profile.w_par", 6.0]["warnings"])
+        assert rows["profile.w_par", 5.0]["warnings"] == ""
+        assert points["profile.w_par", 5.0]["warnings"] == []
 
     def test_swap_error_schema(self, tmp_path, paper_point):
         spec = ExperimentSpec(
@@ -192,6 +257,16 @@ class TestCli:
         assert code == 2
         assert "mc_samples" in capsys.readouterr().err
         assert not (tmp_path / "entropy-vs-fidelity").exists()
+
+    @pytest.mark.parametrize("key, value", [("calibrate_time", "0"),
+                                            ("calibrate_phase", "-1")])
+    def test_validate_calibration_error_names_key(self, capsys, key, value):
+        assert cli.main(["validate", "--set", f"interaction.{key}={value}"]) == 2
+        assert f"interaction.{key}:" in capsys.readouterr().err
+
+    def test_run_mc_samples_default_off(self):
+        args = cli.build_parser().parse_args(["run", "--experiment", "angular"])
+        assert args.mc_samples is None
 
     def test_run_small_sweep(self, tmp_path, capsys):
         code = cli.main([
