@@ -8,11 +8,12 @@ The two-body problem is handled through two complementary reductions:
   integral.  That Gaussian has equal standard deviations across the
   separation, and the phase depends only on the axial coordinate and the
   distance from the axis (plus the azimuth, for a transverse swap error), so
-  ``zeta`` is a 2D cylindrical quadrature: composite Gauss-Legendre panels
-  along the axis, graded towards the pair-distance singularities, times
-  Gauss-Laguerre across it.  A doubling of its resolution level checks its
-  accuracy.  An independent Monte Carlo oracle over the full 6D product
-  density is provided for cross-validation.
+  ``zeta`` is a 2D cylindrical quadrature: uniform Gauss-Legendre panels
+  along the axis, on a path lifted into the complex plane around the
+  pair-distance singularities so that the phase factor decays there
+  instead of oscillating, times Gauss-Laguerre across it.  A doubling of
+  its resolution level checks its accuracy.  An independent Monte Carlo
+  oracle over the full 6D product density is provided for cross-validation.
 
 * Momentum maps, centroids, ellipse metrics and entanglement entropy use 2D
   one-coordinate-per-excitation slices (parallel or perpendicular to the
@@ -55,26 +56,18 @@ ORIGIN_MASS_LIMIT = 1e-6
 ENTROPY_WEIGHT_CUTOFF = 1e-14
 
 #: Gaussian tail, in standard deviations along the separation, that the zeta
-#: quadrature leaves out at each end of its axial range (1.3e-12 of the mass
-#: per side; the integrand's modulus is at most one)
-ZETA_TAIL_STDS = 7.0
-
-#: on-axis phase (rad) beyond which the zeta quadrature leaves out the slab
-#: next to a singularity, where the integrand oscillates so fast that it
-#: averages out; the cap ends the range only when d / s < ~9.5, and moves
-#: zeta by ~1e-10 at d / s = 7
-ZETA_MAX_PHASE = 1e4
-
-#: largest change of the on-axis phase (rad) across an axial panel, per
-#: Gauss-Legendre node of the panel: 24 rad for the 16 nodes of level 128
-ZETA_PHASE_PER_NODE = 1.5
+#: quadrature leaves out at each end of its axial range (6e-16 of the mass
+#: per side)
+ZETA_TAIL_STDS = 8.0
 
 #: largest zeta resolution level (160 Gauss-Laguerre nodes): numpy's
 #: Gauss-Laguerre weights overflow between 180 and 192 nodes
 ZETA_MAX_NODES = 256
 
 #: zeta quadrature level of each overlap sampled by
-#: ``swap_error_average_fidelity``
+#: ``swap_error_average_fidelity``: at the headline point, for errors up to
+#: 6 um, its fidelities are within 5.6e-6 (parallel) and 1.4e-6 (transverse)
+#: of level 256
 SWAP_ERROR_LEVEL = 32
 
 _RULE_CACHE: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -264,34 +257,43 @@ def _check_separation_guard(config: GateConfig) -> RelativeGaussian:
     return rel
 
 
-def _axial_rule(rel: RelativeGaussian, lo: float, hi: float, k: float,
-                far: float | None, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-weighted composite ``n``-point Gauss-Legendre rule on [lo, hi].
+def _contour_rule(rel: RelativeGaussian, ct: float, far: float | None,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-weighted axial rule on a path lifted into the complex plane.
 
-    Each panel spans at most one standard deviation, and the on-axis phase
-    ``k / x^6`` (and ``k / (far - x)^6`` when ``far`` is given) changes by
-    at most ``n * ZETA_PHASE_PER_NODE`` across it, so the panels grade
-    towards the singularities at 0 and at ``far``.
+    Composite ``n``-point Gauss-Legendre panels of at most s / 2 in a real
+    parameter t span ``ZETA_TAIL_STDS`` std about d, cut at ``far`` for the
+    swap.  They carry the nodes to x = t + i sgn(ct) tan(pi/12) b(t), where b
+    sums (t - a) g(|t - a|) over the singularities a (0, and ``far``), with
+    the analytic taper g = (1 - tanh((|t - a| - c) / (c / 10))) / 2.  So out
+    to c = (k / 30)^(1/6), where a singularity's phase k / x^6 falls to ~30
+    rad (k = |ct|, halved for the swap), the path runs on the rays at pi/12
+    from it, where arg(x^2 + rho^2) stays within [0, pi/6]: the phase factor
+    decays towards the singularity instead of oscillating, its modulus stays
+    at most one, and no pole at x = +-i rho is crossed.  Beyond c the path
+    is real.  For the swap, c is at most 0.4 far, so that the path crosses
+    the real axis downwards between the singularities; past that bound
+    (about 5 pi rad at the mean) the doubling check flags the result.  The
+    weights carry x'(t) and the Gaussian density continued to complex x.
     """
     d, s = rel.mean_mag, float(rel.std[0])
-    dphi = n * ZETA_PHASE_PER_NODE
-    edges = [lo]
-    a = lo
-    while a < hi:
-        b = a + s
-        near = k * a**-6 - dphi
-        if near > 0:
-            b = min(b, (k / near) ** (1.0 / 6.0))
-        if far is not None:
-            b = min(b, far - ((far - a) ** -6 + dphi / k) ** (-1.0 / 6.0))
-        a = min(b, hi)
-        edges.append(a)
-    edges = np.asarray(edges)
-    t, w = _gauss_rule("legendre", n)
+    lo, hi = d - ZETA_TAIL_STDS * s, d + ZETA_TAIL_STDS * s
+    c = (abs(ct) / 30.0) ** (1.0 / 6.0)
+    if far is not None:
+        hi, c = min(hi, far), min((abs(ct) / 60.0) ** (1.0 / 6.0), 0.4 * far)
+    edges = np.linspace(lo, hi, math.ceil(2.0 * (hi - lo) / s) + 1)
+    u, w = _gauss_rule("legendre", n)
     half = 0.5 * np.diff(edges)[:, None]
-    x = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * t).ravel()
+    t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * u).ravel()
+    b = db = 0.0
+    for a in (0.0,) if far is None else (0.0, far):
+        th = np.tanh((np.abs(t - a) - c) / (0.1 * c))
+        b = b + 0.5 * (1.0 - th) * (t - a)
+        db = db + 0.5 * (1.0 - th) - np.abs(t - a) * (1.0 - th * th) * 5.0 / c
+    lift = math.copysign(math.tan(math.pi / 12.0), ct) * 1j
+    x = t + lift * b
     density = np.exp(-0.5 * ((x - d) / s) ** 2) / (math.sqrt(2.0 * math.pi) * s)
-    return x, (half * w).ravel() * density
+    return x, (half * w).ravel() * (1.0 + lift * db) * density
 
 
 def _zeta_quadrature(
@@ -305,10 +307,10 @@ def _zeta_quadrature(
 
     The relative coordinate is (x, rho cos a, rho sin a) in the separation
     frame, with x Gaussian about d with std s and u = rho^2 / (2 sp^2)
-    exponentially distributed.  Along x: ``_axial_rule`` with ``nodes // 8``
-    nodes per panel, on the range that leaves out ``ZETA_TAIL_STDS`` tails
-    and the slabs next to a singularity where the on-axis phase exceeds
-    ``ZETA_MAX_PHASE``.  In u: ``5 * nodes // 8``-point Gauss-Laguerre.  In the
+    exponentially distributed.  Along x: ``_contour_rule`` with
+    ``nodes // 8`` nodes per panel, from ``ZETA_TAIL_STDS`` std below the
+    mean to as far above it, or to the swapped singularity if that is
+    nearer.  In u: ``5 * nodes // 8``-point Gauss-Laguerre.  In the
     azimuth a, which only a transverse swap error breaks the symmetry of:
     the periodic trapezoid with ``nodes // 8 + 1`` points on [0, pi], where
     the integrand is even in a.
@@ -317,21 +319,12 @@ def _zeta_quadrature(
         raise ValueError(f"nodes must be in 8..{ZETA_MAX_NODES}, got {nodes}")
     swap = isinstance(config.protocol, Swap)
     ct = config.c6 * config.t_int
-    d, s, sp = rel.mean_mag, float(rel.std[0]), float(rel.std[1])
-    k = abs(ct) * (0.5 if swap else 1.0)     # phase scale of each singularity
-    cut = (k / ZETA_MAX_PHASE) ** (1.0 / 6.0)
-    lo = max(d - ZETA_TAIL_STDS * s, cut)
-    hi = d + ZETA_TAIL_STDS * s
-    far = None
-    if swap:
-        far = 2.0 * d - eps_par
-        hi = min(hi, far - cut)
-    if not lo < d < hi:
-        raise PhysicsError(
-            f"the phase at the mean separation exceeds {ZETA_MAX_PHASE:g} rad; "
-            "no quadrature resolves zeta there"
-        )
-    x, wx = _axial_rule(rel, lo, hi, k, far, nodes // 8)
+    d, sp = rel.mean_mag, float(rel.std[1])
+    far = 2.0 * d - eps_par if swap else None
+    if swap and far <= d:
+        raise PhysicsError(f"eps_par = {eps_par:g} um puts the swapped "
+                           "singularity at or before the mean separation")
+    x, wx = _contour_rule(rel, ct, far, nodes // 8)
     u, wu = _gauss_rule("laguerre", 5 * nodes // 8)
     rho2 = 2.0 * sp * sp * u
     shift = 0.0
@@ -344,11 +337,10 @@ def _zeta_quadrature(
         rho2 = np.repeat(rho2, m)
         wu = np.outer(wu, w_az).ravel()
     total = 0.0 + 0.0j
-    rows = max(1, 2**18 // rho2.size)     # bounds the temporaries to ~2 MB each
+    rows = max(1, 2**17 // rho2.size)     # bounds the temporaries to ~2 MB each
     for i in range(0, x.size, rows):
         phase = _pair_phase(ct, swap, x[i:i + rows, None], rho2, far, shift)
-        w = wx[i:i + rows]
-        total += complex(w @ (np.cos(phase) @ wu), -(w @ (np.sin(phase) @ wu)))
+        total += complex(wx[i:i + rows] @ (np.exp(-1j * phase) @ wu))
         del phase     # not alive while the next chunk's phase is built
     return total
 
@@ -363,12 +355,15 @@ def zeta(
     """Conditional-phase overlap of the interacting pair with its initial state.
 
     Averages the accumulated phase factor over the 3D relative-coordinate
-    Gaussian by a 2D cylindrical quadrature about the separation axis (see
+    Gaussian by a 2D cylindrical quadrature about the separation axis, its
+    axial path lifted into the complex plane around the singularities (see
     ``_zeta_quadrature``).  ``nodes`` (8..``ZETA_MAX_NODES``) names its
     resolution level.  When ``check`` is set, the level is doubled, the
-    doubled result is returned, and an :class:`AccuracyWarning` is issued if
-    it moved by more than 1e-6; the move bounds the returned result's error.
-    At gate working points the checked result is accurate to about 1e-11.
+    doubled result is returned, and an :class:`AccuracyWarning` naming the
+    protocol and any positioning error is issued if it moved by more than
+    1e-6; the move bounds the returned result's error.  At gate working
+    points the checked result is accurate to about 1e-13, and to 2e-9 where
+    d is 7 standard deviations along the separation.
     """
     if isinstance(config.protocol, Direct) and (eps_par or eps_perp):
         raise PhysicsError("positioning errors only apply to the swap protocol")
@@ -379,9 +374,13 @@ def zeta(
     if check:
         z2 = _zeta_quadrature(config, rel, 2 * nodes, eps_par, eps_perp)
         if abs(z2 - z) > 1e-6:
+            where = [f"{type(config.protocol).__name__.lower()} protocol"] + [
+                f"{name} = {value:g} um"
+                for name, value in (("eps_par", eps_par), ("eps_perp", eps_perp))
+                if value]
             warnings.warn(
-                f"zeta quadrature not converged at level {nodes} "
-                f"(|change on doubling| = {abs(z2 - z):.2e}); "
+                f"zeta quadrature ({', '.join(where)}) not converged at level "
+                f"{nodes} (|change on doubling| = {abs(z2 - z):.2e}); "
                 "result may be inaccurate for this configuration",
                 AccuracyWarning,
                 stacklevel=2,
@@ -640,9 +639,9 @@ def swap_error_average_fidelity(
     Normal(0, sigma_err) on the chosen axis and averages the fidelity, each
     overlap from ``zeta``'s quadrature at the fixed level
     ``SWAP_ERROR_LEVEL`` without a doubling check.  At the headline point,
-    for |error| <= 6 um, every sampled fidelity is within 2.2e-5 (parallel)
-    and 1.9e-6 (transverse) of level 256; at sigma_err = 2 um that is about
-    50 times below the standard error of a 400-sample mean.  Deterministic
+    for |error| <= 6 um, every sampled fidelity is within 5.6e-6 (parallel)
+    and 1.4e-6 (transverse) of level 256; at sigma_err = 2 um that is over
+    80 times below the standard error of a 400-sample mean.  Deterministic
     for a fixed seed.
     """
     if not isinstance(config.protocol, Swap):

@@ -211,9 +211,8 @@ def test_criterion_10_tradeoff_trends(capsys):
         if abs(t / time_for_pi(15, c6) - (d / 15.0) ** 6) > 1e-12:
             ok, notes = False, notes + ["t_pi not d^6"]
         base = make_config(d=float(d), c6=c6, t=t)
-        zd, _ = zeta_mc_oracle(base, 1_000_000, seed=500 + d)
-        zs, _ = zeta_mc_oracle(base.replace(protocol=Swap()),
-                               1_000_000, seed=500 + d)
+        zd = zeta(base)
+        zs = zeta(base.replace(protocol=Swap()))
         fd, fs = fidelity_from_zeta(zd), fidelity_from_zeta(zs)
         eff = pair_efficiency(base).pair
         if fs < fd:

@@ -31,11 +31,11 @@ def read_rows(path):
 
 @pytest.fixture(scope="module")
 def width_sweep(tmp_path_factory):
-    """Default-range width sweep at d = 21: guard failure, grid skip, warning."""
+    """Width sweep at d = 21: guard failure, warning, grid skip."""
     out = tmp_path_factory.mktemp("width")
     spec = ExperimentSpec(
         name="fidelity-vs-width", base=make_config(), output_dir=out,
-        sweep_param="width", sweep_values=(8.0, 6.0, 5.0))
+        sweep_param="width", sweep_values=(8.0, 6.5, 5.0))
     manifest = run_experiment(spec)
     rows = {(r["sweep_param"], float(r["sweep_value"])): r
             for r in read_rows(out / "fidelity-vs-width.csv")}
@@ -154,13 +154,16 @@ class TestRunExperiment:
         assert narrow["error"].startswith("grid metrics skipped")
         assert narrow["entropy"] == ""
         assert all(narrow[c] != "" for c in ("zeta_re", "zeta_im", "F_direct", "F_swap"))
-        assert all(rows["profile.w_perp", w]["status"] == "ok" for w in (8.0, 6.0, 5.0))
+        assert all(rows["profile.w_perp", w]["status"] == "ok" for w in (8.0, 6.5, 5.0))
 
     def test_width_sweep_records_warnings(self, width_sweep):
+        # w_par = 6.5 passes the guard, and its swap overlap moves by more
+        # than 1e-6 on doubling
         rows, points = width_sweep
-        assert "AccuracyWarning" in rows["profile.w_par", 6.0]["warnings"]
+        assert "AccuracyWarning" in rows["profile.w_par", 6.5]["warnings"]
+        assert "swap protocol" in rows["profile.w_par", 6.5]["warnings"]
         assert any("AccuracyWarning" in w
-                   for w in points["profile.w_par", 6.0]["warnings"])
+                   for w in points["profile.w_par", 6.5]["warnings"])
         assert rows["profile.w_par", 5.0]["warnings"] == ""
         assert points["profile.w_par", 5.0]["warnings"] == []
 

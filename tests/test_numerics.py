@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -11,6 +12,7 @@ from rydgate.core import (
     OverlapError,
     PhysicsError,
     Swap,
+    time_for_pi,
 )
 from rydgate.analytic import expansion_coefficients
 from rydgate.numerics import (
@@ -107,6 +109,35 @@ class TestZeta:
         with pytest.warns(AccuracyWarning):
             zeta(paper_point, nodes=8, check=True)
 
+    @pytest.mark.parametrize("protocol, eps, label", [
+        (Direct(), (0.0, 0.0), "(direct protocol)"),
+        (Swap(), (0.0, 0.0), "(swap protocol)"),
+        (Swap(), (1.0, 0.0), "(swap protocol, eps_par = 1 um)"),
+        (Swap(), (0.0, -0.5), "(swap protocol, eps_perp = -0.5 um)"),
+    ])
+    def test_accuracy_warning_names_point(self, paper_point, protocol, eps, label):
+        with pytest.warns(AccuracyWarning, match=re.escape(label)):
+            zeta(paper_point.replace(protocol=protocol), eps_par=eps[0],
+                 eps_perp=eps[1], nodes=8)
+
+    @pytest.mark.parametrize("protocol, expected", [
+        (Direct(), 0.10439748335735786 - 0.480242218880991j),
+        (Swap(), -0.20233417599050163 - 0.4425912129511387j),
+    ])
+    def test_close_separation_matches_reference(self, protocol, expected):
+        # d = 15 um is 7.1 std along the separation, the closest point of
+        # the default separation sweep.  The literals are
+        # bench/reference.py's zeta_ref_converged for this configuration,
+        # which self-converges to 3.5e-11 (direct) and 2.0e-11 (swap).
+        c6 = make_config().c6
+        c = make_config(d=15.0, c6=c6, t=time_for_pi(15.0, c6), protocol=protocol)
+        assert abs(zeta(c) - expected) <= 2e-9
+
+    @pytest.mark.parametrize("protocol", [Direct(), Swap()])
+    def test_negative_c6_conjugates(self, paper_point, protocol):
+        c = paper_point.replace(protocol=protocol)
+        assert zeta(c.replace(c6=-c.c6)) == zeta(c).conjugate()
+
     @pytest.mark.parametrize("protocol", [Direct(), Swap()])
     def test_headline_converged(self, paper_point, protocol):
         c = paper_point.replace(protocol=protocol)
@@ -131,7 +162,8 @@ class TestZeta:
 
     def test_near_singularity_stays_fast(self):
         # criterion 8's widest point: d / std = 7 along the separation, so
-        # the phase cap, not the Gaussian tail, ends the quadrature range
+        # the axial range reaches both singularities, where the path leaves
+        # the real axis
         c = make_config(d=40, w_par=8, w_perp=8, protocol=Swap(), ext=4.0)
         best = math.inf
         for _ in range(3):
@@ -147,10 +179,14 @@ class TestZeta:
             with pytest.raises(ValueError):
                 zeta(paper_point, nodes=nodes, check=False)
 
-    def test_phase_beyond_cap_at_mean_rejected(self, paper_point):
+    def test_strong_phase_at_mean_averages_out(self, paper_point):
         # pi rad in 5 us, so 3e4 rad at the mean separation in 5e4 us
+        z = zeta(paper_point.replace(t_int=5e4))
+        assert math.isfinite(abs(z)) and abs(z) <= 1e-6
+
+    def test_swapped_singularity_before_mean_rejected(self, paper_point):
         with pytest.raises(PhysicsError):
-            zeta(paper_point.replace(t_int=5e4))
+            zeta(paper_point.replace(protocol=Swap()), eps_par=21.0)
 
     def test_overlapping_clouds_rejected(self):
         with pytest.raises(OverlapError):
