@@ -314,7 +314,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     failure rows and manifest entries instead of aborting the sweep.
     Returns the manifest dictionary.
     """
-    started = time.time()
+    started = time.perf_counter()
     outdir = spec.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
@@ -392,7 +392,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         ),
         "points": points,
         "outputs": outputs,
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

@@ -115,8 +115,10 @@ class MomentumMap:
     """Normalized momentum-space density over (K1, K2) on one slice.
 
     ``amplitude`` is the position-space slice the density was transformed
-    from; the median centroid is computed from it.  A map built by hand from
-    a density alone leaves it ``None``.
+    from, and ``marginal_power`` its unnormalized K1 and K2 marginals in FFT
+    order: the even samples of the 2n-point zero-padded marginals that the
+    median centroid needs (it computes the odd ones from ``amplitude``).  A
+    map built by hand from a density alone leaves both ``None``.
     """
 
     density: np.ndarray
@@ -124,6 +126,7 @@ class MomentumMap:
     k1_axis: np.ndarray
     k2_axis: np.ndarray
     amplitude: np.ndarray | None = None
+    marginal_power: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def spacing(self) -> tuple[float, float]:
@@ -227,22 +230,21 @@ def phased_joint_grid(config: GateConfig, axis: str) -> JointAmplitudeGrid:
 # Conditional phase
 # --------------------------------------------------------------------------
 
-def origin_mass(rel: RelativeGaussian, radius: float, points: int = 41) -> float:
-    """Probability mass of the relative-coordinate Gaussian inside a ball.
+def origin_mass(rel: RelativeGaussian, radius: float) -> float:
+    """Probability mass of the relative-coordinate Gaussian in a ball about 0.
 
-    Deterministic box quadrature over the bounding cube of the ball centered
-    on the origin; used by the singularity guard.
+    With equal transverse stds sp (as ``relative_distribution`` gives),
+    rho^2 / (2 sp^2) is Exp(1), so the mass across the ball's chord at axial
+    offset x is 1 - exp(-(R^2 - x^2) / (2 sp^2)).  A 64-point Gauss-Legendre
+    rule integrates it against the axial Gaussian over [-R, R], to about
+    1e-13 relative while R <= 15 sp.
     """
-    g = np.linspace(-radius, radius, points)
-    X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
-    inside = X**2 + Y**2 + Z**2 <= radius * radius
-    d = rel.mean_mag
-    s1, s2, s3 = rel.std
-    dens = np.exp(
-        -((X - d) ** 2 / (2 * s1 * s1) + Y**2 / (2 * s2 * s2) + Z**2 / (2 * s3 * s3))
-    ) / ((2 * math.pi) ** 1.5 * s1 * s2 * s3)
-    dv = (g[1] - g[0]) ** 3
-    return float(np.sum(dens * inside) * dv)
+    d, s, sp = rel.mean_mag, float(rel.std[0]), float(rel.std[1])
+    u, w = _gauss_rule("legendre", 64)
+    x = radius * u
+    axial = np.exp(-0.5 * ((x - d) / s) ** 2) / (math.sqrt(2.0 * math.pi) * s)
+    across = -np.expm1(-(radius * radius - x * x) / (2.0 * sp * sp))
+    return float(radius * (w @ (axial * across)))
 
 
 def _check_separation_guard(config: GateConfig) -> RelativeGaussian:
@@ -464,32 +466,39 @@ def momentum_map(grid: JointAmplitudeGrid) -> MomentumMap:
     """
     n1, n2 = grid.values.shape
     d1, d2 = grid.spacing
-    amp = np.fft.fftshift(np.fft.fft2(grid.values))
-    density = np.abs(amp) ** 2
+    power = np.abs(np.fft.fft2(grid.values)) ** 2
+    # by Parseval over the other axis, each marginal of the 2D power is that
+    # axis's length times the summed power of the 1D transforms along its own
+    marginals = (power.sum(axis=1) / n2, power.sum(axis=0) / n1)
+    density = np.fft.fftshift(power)
     k1 = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n1, d1))
     k2 = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n2, d2))
     dk1 = k1[1] - k1[0]
     dk2 = k2[1] - k2[0]
     density /= np.sum(density) * dk1 * dk2
     return MomentumMap(density=density, axis=grid.axis, k1_axis=k1, k2_axis=k2,
-                       amplitude=grid.values)
+                       amplitude=grid.values, marginal_power=marginals)
 
 
-def _marginal_median(rows: np.ndarray, dk: float) -> float:
+def _marginal_median(rows: np.ndarray, even: np.ndarray, dk: float) -> float:
     """Median of one excitation's momentum marginal, exact for the samples.
 
     ``rows`` holds the amplitude with that excitation's coordinate on the
     last axis.  Its Fourier transform is continuous in u = K dx, so the
     marginal M(u) = sum over rows of |sum_j a_j exp(-i u j)|^2 is a
     trigonometric polynomial on [-pi, pi).  Its 2n - 1 coefficients are the
-    autocorrelations R(m) of the rows, which a transform zero-padded to 2n
-    gives exactly, so its CDF is closed-form.  The CDF on the 2n padded
-    samples brackets the median to half a momentum bin, and safeguarded
-    Newton steps on the closed form refine it.
+    autocorrelations R(m) of the rows, which M at u_q = pi q / n gives
+    exactly, so its CDF is closed-form.  ``even`` holds the samples at even
+    q; the odd ones are n-point transforms of the rows times exp(-i pi j / n).
+    The CDF on the 2n samples brackets the median to half a momentum bin,
+    and safeguarded Newton steps on the closed form refine it.
     """
     n = rows.shape[1]
-    power = np.abs(np.fft.fft(rows, n=2 * n, axis=1)) ** 2
-    R = np.fft.ifft(power.sum(axis=0))[:n]
+    # a contiguous product transforms faster than a strided axis
+    odd = np.fft.fft(np.multiply(rows, np.exp(-1j * math.pi / n * np.arange(n)),
+                                 order="C"), axis=1)
+    power = np.column_stack((even, (np.abs(odd) ** 2).sum(axis=0))).ravel()
+    R = np.fft.ifft(power)[:n]
     r0 = float(R[0].real)
     if not r0 > 0:
         raise PhysicsError("degenerate momentum marginal")
@@ -500,15 +509,7 @@ def _marginal_median(rows: np.ndarray, dk: float) -> float:
     alternating = c * np.where(m % 2, -1.0, 1.0)
     edge = float(np.sum(alternating).real)
 
-    def cdf(u: float) -> float:
-        return (u + math.pi) / (2.0 * math.pi) + (
-            float(np.sum(c * np.exp(-1j * m * u)).real) - edge) / math.pi
-
-    def pdf(u: float) -> float:
-        return (1.0 + 2.0 * float(np.sum(R[1:] * np.exp(-1j * m * u)).real) / r0) \
-            / (2.0 * math.pi)
-
-    # on the padded samples u_q = -pi + pi q / n the sum is one FFT
+    # on the samples u_q = -pi + pi q / n the sum is one FFT
     padded = np.zeros(2 * n, dtype=complex)
     padded[1:n] = alternating
     samples = np.arange(2 * n) / (2.0 * n) + (np.fft.fft(padded).real - edge) / math.pi
@@ -517,12 +518,14 @@ def _marginal_median(rows: np.ndarray, dk: float) -> float:
     hi = -math.pi + q * math.pi / n
     u = 0.5 * (lo + hi)
     for _ in range(64):
-        f = cdf(u) - 0.5
+        e = np.exp(-1j * m * u)
+        f = (u + math.pi) / (2.0 * math.pi) + (
+            float((c @ e).real) - edge) / math.pi - 0.5
         if f > 0:
             hi = u
         else:
             lo = u
-        slope = pdf(u)
+        slope = (1.0 + 2.0 * float((R[1:] @ e).real) / r0) / (2.0 * math.pi)
         step = f / slope if slope > 0 else math.inf
         if abs(step) <= 1e-13:
             u -= step
@@ -547,15 +550,13 @@ def momentum_centroid(mmap: MomentumMap, method: str = "median") -> tuple[float,
     pair distance.
     """
     if method == "median":
-        if mmap.amplitude is None:
+        if mmap.amplitude is None or mmap.marginal_power is None:
             raise ValueError("the median needs the sampled amplitude; "
                              "build the map with momentum_map")
         dk1, dk2 = mmap.spacing
-        # a contiguous transpose transforms faster than a strided axis
-        return (
-            _marginal_median(np.ascontiguousarray(mmap.amplitude.T), dk1),
-            _marginal_median(mmap.amplitude, dk2),
-        )
+        even1, even2 = mmap.marginal_power
+        return (_marginal_median(mmap.amplitude.T, even1, dk1),
+                _marginal_median(mmap.amplitude, even2, dk2))
     if method == "mean":
         marg1 = mmap.density.sum(axis=1)
         marg2 = mmap.density.sum(axis=0)
@@ -570,28 +571,25 @@ def ellipse_metrics(mmap: MomentumMap) -> tuple[float, float]:
     """Eccentricity and principal-axis angle of the density's covariance ellipse.
 
     Returns (e, angle) with e = sqrt(1 - lambda_min / lambda_max) and the
-    angle of the major axis in the (K1, K2) plane, in (-pi/2, pi/2].  A
-    circular density returns (0, 0) by convention.
+    angle of the major axis in the (K1, K2) plane, in (-pi/2, pi/2], from
+    the two marginals and one centred contraction.  A density with e < 1e-6,
+    i.e. 1 - lambda_min / lambda_max < 1e-12, is circular and returns
+    (0, 0): rounding of the moments leaves e ~ 1e-8 there.
     """
     dk1, dk2 = mmap.spacing
     p = mmap.density * dk1 * dk2
     p = p / p.sum()
-    k1 = mmap.k1_axis[:, None]
-    k2 = mmap.k2_axis[None, :]
-    m1 = float(np.sum(p * k1))
-    m2 = float(np.sum(p * k2))
-    c11 = float(np.sum(p * (k1 - m1) ** 2))
-    c22 = float(np.sum(p * (k2 - m2) ** 2))
-    c12 = float(np.sum(p * (k1 - m1) * (k2 - m2)))
-    cov = np.array([[c11, c12], [c12, c22]])
-    if np.trace(cov) <= 0:
-        raise PhysicsError("degenerate momentum map: zero covariance")
-    evals, evecs = np.linalg.eigh(cov)
+    k1, k2 = mmap.k1_axis, mmap.k2_axis
+    marg1, marg2 = p.sum(axis=1), p.sum(axis=0)
+    m1, m2 = float(marg1 @ k1), float(marg2 @ k2)
+    c11, c22 = float(marg1 @ (k1 - m1) ** 2), float(marg2 @ (k2 - m2) ** 2)
+    c12 = float((k1 - m1) @ p @ (k2 - m2))
+    evals, evecs = np.linalg.eigh(np.array([[c11, c12], [c12, c22]]))
     lam_min, lam_max = float(evals[0]), float(evals[1])
     if lam_max <= 0:
         raise PhysicsError("degenerate momentum map: zero covariance")
     ecc = math.sqrt(max(0.0, 1.0 - lam_min / lam_max))
-    if ecc < 1e-12:
+    if ecc < 1e-6:
         return 0.0, 0.0
     major = evecs[:, 1]
     angle = math.atan2(major[1], major[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -16,6 +17,7 @@ from rydgate.core import (
 )
 from rydgate.analytic import expansion_coefficients
 from rydgate.numerics import (
+    ORIGIN_MASS_LIMIT,
     JointAmplitudeGrid,
     MomentumMap,
     angular_distribution,
@@ -212,6 +214,33 @@ class TestZeta:
             np.array([4.0, 0, 0]))
         assert origin_mass(tight, 0.4) > 1e-6
 
+    @pytest.mark.parametrize("d, w_par, w_perp, rejected", [
+        (21, 8.0, 8, True), (21, 7.0, 8, True), (21, 6.5, 8, False),
+        (21, 6.0, 8, False), (4, 3.0, 3, True)])
+    def test_origin_mass_matches_spherical_quadrature(self, d, w_par, w_perp,
+                                                      rejected):
+        # independent estimate: Gauss-Legendre in the radius and in cos(theta)
+        # about the separation axis, over the 3D density itself
+        c = make_config(d=d, w_par=w_par, w_perp=w_perp)
+        rel = relative_distribution(c.profile1, c.profile2, c.separation)
+        radius = d / 10.0
+        s, sp = rel.std[0], rel.std[1]
+        u, w = np.polynomial.legendre.leggauss(200)
+        r = 0.5 * radius * (u + 1.0)
+        rr, mu = np.meshgrid(r, u, indexing="ij")
+        density = np.exp(-(rr * mu - d) ** 2 / (2 * s * s)
+                         - rr * rr * (1.0 - mu * mu) / (2 * sp * sp)) \
+            / ((2 * math.pi) ** 1.5 * s * sp * sp)
+        expected = math.pi * radius * ((w * r * r) @ density @ w)
+        mass = origin_mass(rel, radius)
+        assert mass == pytest.approx(expected, rel=1e-9)
+        assert (mass >= ORIGIN_MASS_LIMIT) == rejected
+        if rejected:
+            with pytest.raises(OverlapError, match="singularity"):
+                zeta(c, check=False)
+        else:
+            zeta(c, check=False)
+
 
 class TestFidelity:
     def test_endpoints(self):
@@ -279,6 +308,43 @@ class TestMomentumMap:
         # which the steep growth at small pair distance lifts well above kD
         assert abs(med - kD) < abs(mean - kD)
 
+    @staticmethod
+    def _padded_median(rows, dk):
+        """Median from the marginal of the rows' 2n-point zero-padded power."""
+        n = rows.shape[1]
+        power = (np.abs(np.fft.fft(rows, n=2 * n, axis=1)) ** 2).sum(axis=0)
+        R = np.fft.ifft(power)[:n]
+        m = np.arange(1, n)
+        c = 1j * R[1:] / (m * R[0].real)
+        edge = np.sum(c * np.where(m % 2, -1.0, 1.0)).real
+
+        def cdf(u):
+            return (u + math.pi) / (2 * math.pi) + (
+                np.sum(c * np.exp(-1j * m * u)).real - edge) / math.pi
+
+        def pdf(u):
+            return (1 + 2 * np.sum(R[1:] * np.exp(-1j * m * u)).real
+                    / R[0].real) / (2 * math.pi)
+
+        u = -math.pi + math.pi * (np.searchsorted(
+            [cdf(-math.pi + math.pi * q / n) for q in range(2 * n)], 0.5)
+            - 0.5) / n
+        for _ in range(20):
+            u -= (cdf(u) - 0.5) / pdf(u)
+        return u * n * dk / (2 * math.pi)
+
+    @pytest.mark.parametrize("slice_", ["headline", "unequal", "coarse"])
+    def test_median_matches_zero_padded_construction(self, paper_point, slice_):
+        c = {"headline": paper_point,
+             "unequal": paper_point.replace(profile2=dataclasses.replace(
+                 paper_point.profile2, w_par=4.0)),
+             "coarse": make_config(n=32)}[slice_]
+        mm = momentum_map(phased_joint_grid(c, "par"))
+        dk1, dk2 = mm.spacing
+        expected = (self._padded_median(mm.amplitude.T, dk1),
+                    self._padded_median(mm.amplitude, dk2))
+        assert momentum_centroid(mm) == pytest.approx(expected, rel=0, abs=1e-14)
+
     def test_median_needs_amplitude(self, paper_point):
         mm = momentum_map(build_joint_grid(paper_point, "par"))
         bare = MomentumMap(density=mm.density, axis="par",
@@ -298,9 +364,8 @@ class TestEllipse:
     def test_circular_map_returns_zero(self, paper_point):
         mm = momentum_map(build_joint_grid(make_config(w_par=3, w_perp=3),
                                            "par"))
-        ecc, angle = ellipse_metrics(mm)
-        assert ecc < 1e-6
-        assert angle == 0.0
+        # the moments' rounding leaves e ~ 1e-8, below the circular cut
+        assert ellipse_metrics(mm) == (0.0, 0.0)
 
     def test_antidiagonal_elongation(self):
         c = make_config(d=45)
