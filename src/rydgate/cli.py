@@ -93,24 +93,11 @@ def _cmd_list(_args) -> int:
 def _cmd_run(args) -> int:
     config = validate_config(_raw_from_args(args))
     name = args.experiment
-    if name not in EXPERIMENT_NAMES:
-        raise ConfigError(f"unknown experiment {name!r} "
-                          f"(see 'rydgate list-experiments')")
-    if args.sweep:
-        values = tuple(_parse_float(v, "--sweep") for v in args.sweep.split(","))
-        param, _ = default_sweep(name)
-    else:
-        param, values = default_sweep(name)
+    values = tuple(_parse_float(v, "--sweep") for v in args.sweep.split(",")) \
+        if args.sweep else default_sweep(name)[1]
     outdir = Path(args.out or os.environ.get("RYDGATE_OUT", "rydgate-out")) / name
-    spec = ExperimentSpec(
-        name=name,
-        base=config,
-        output_dir=outdir,
-        sweep_param=param,
-        sweep_values=values,
-        seed=args.seed if args.seed is not None else config.rng_seed,
-        mc_samples=args.mc_samples,
-    )
+    spec = ExperimentSpec(name=name, base=config, output_dir=outdir,
+                          sweep_values=values, mc_samples=args.mc_samples)
     manifest = run_experiment(spec)
     failed = [p for p in manifest["points"] if p.get("status") == "failed"]
     print(json.dumps(
@@ -138,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override one config value (repeatable)")
-        p.add_argument("--seed", type=int, help="random seed override")
+        p.add_argument("--seed", type=int, help="master random seed "
+                       "(sets run.seed)")
 
     run = sub.add_parser("run", help="run one experiment sweep")
     common(run)
@@ -146,10 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output directory "
                      "(default $RYDGATE_OUT or ./rydgate-out)")
     run.add_argument("--sweep", help="comma-separated sweep values "
-                     "(default: built-in range)")
+                     "(default: built-in range; the maps take none)")
     run.add_argument("--mc-samples", type=int, default=None,
                      help="Monte Carlo samples of an independent overlap "
-                          "cross-check written to the zeta_mc_* columns "
+                          "cross-check written to the zeta_mc_* columns of "
+                          "the fidelity and entropy sweeps "
                           "(default: no cross-check)")
     run.set_defaults(func=_cmd_run)
 

@@ -1,10 +1,15 @@
 """Experiment orchestration: named sweeps, CSV datasets and run manifests.
 
-Each experiment name maps to one study from the gate analysis (momentum
+``EXPERIMENTS`` holds one entry per study from the gate analysis (momentum
 maps, fidelity and efficiency versus separation, width anisotropy, the
-entropy-fidelity relation, swap positioning errors, and retrieval angles).
-Sweep defaults reconstruct the visible axis ranges of those studies and are
-documented as reconstructions, not ground truth.
+entropy-fidelity relation, swap positioning errors, and retrieval angles):
+its sweep label, its default sweep values, and how each point's
+configuration and CSV row are built.  The experiment names, the default
+sweeps and the checks of an ``ExperimentSpec`` all read that table.  Sweep
+defaults reconstruct the visible axis ranges of those studies and are
+documented as reconstructions, not ground truth.  Every input either changes
+a result or is rejected: the two maps take no sweep values, and only the
+overlap sweeps take Monte Carlo samples.
 
 Every overlap in a sweep row comes from ``numerics.zeta`` with its accuracy
 check, the one entry point that also enforces the singularity guard, so a
@@ -14,10 +19,11 @@ manifest entry.  The Monte Carlo oracle runs only when ``mc_samples`` is
 set: one call for the configured protocol fills the ``zeta_mc_*`` columns as
 a cross-check.
 
-Reproducibility contract: identical config + seed produce byte-identical
-CSVs.  Per-point Monte Carlo seeds (for the ``zeta_mc_*`` columns and the
-swap-error samples) are derived deterministically from (master seed, point
-index) via ``numpy.random.SeedSequence``.
+Reproducibility contract: an identical config produces byte-identical CSVs.
+The master seed is the base configuration's ``rng_seed``; per-point Monte
+Carlo seeds (for the ``zeta_mc_*`` columns and the swap-error samples) are
+derived deterministically from (master seed, point index) via
+``numpy.random.SeedSequence``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -56,15 +63,6 @@ from .numerics import (
     swap_error_average_fidelity,
     zeta,
     zeta_mc_oracle,
-)
-
-EXPERIMENT_NAMES = (
-    "momentum-map",
-    "fidelity-vs-separation",
-    "fidelity-vs-width",
-    "entropy-vs-fidelity",
-    "swap-error",
-    "angular",
 )
 
 #: Fixed column order of sweep CSVs (sweep columns first, then metrics).
@@ -108,40 +106,41 @@ SWAP_ERROR_COLUMNS = (
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """One named experiment: base configuration plus a sweep."""
+    """One named experiment: base configuration plus a sweep.
+
+    The base configuration's ``rng_seed`` is the master seed.
+    """
 
     name: str
     base: GateConfig
     output_dir: Path
-    sweep_param: str = ""
     sweep_values: tuple = ()
-    seed: int = 0
     mc_samples: int | None = None    # Monte Carlo cross-check samples; None: off
 
     def __post_init__(self):
-        if self.name not in EXPERIMENT_NAMES:
+        experiment = EXPERIMENTS.get(self.name)
+        if experiment is None:
             raise ConfigError(f"unknown experiment {self.name!r}")
         values = tuple(float(v) for v in self.sweep_values)
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "output_dir", Path(self.output_dir))
-        if self.mc_samples is not None and self.mc_samples < 1:
-            raise ConfigError("mc_samples must be >= 1")
+        if values and experiment.configs is None:
+            raise ConfigError(f"{self.name} sweeps nothing; it takes no sweep values")
+        if self.mc_samples is not None:
+            if self.mc_samples < 1:
+                raise ConfigError("mc_samples must be >= 1")
+            if experiment.row is not _sweep_row:
+                raise ConfigError(f"{self.name} has no Monte Carlo columns; "
+                                  "it takes no mc_samples")
         diffs = np.diff(values)
         if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("sweep values must be strictly monotone")
 
 
 def default_sweep(name: str) -> tuple[str, tuple[float, ...]]:
-    """Reconstructed default sweep for each experiment name."""
-    if name == "fidelity-vs-separation":
-        return "separation", tuple(float(d) for d in range(15, 31))
-    if name == "fidelity-vs-width":
-        return "width", (8.0, 7.0, 6.0, 5.0, 4.0, 3.0)
-    if name == "entropy-vs-fidelity":
-        return "c6_scale", tuple(round(0.1 * i, 3) for i in range(1, 11))
-    if name == "swap-error":
-        return "err_sigma", (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
-    return "", ()
+    """Sweep label and reconstructed default values of an experiment."""
+    experiment = EXPERIMENTS[name]
+    return experiment.param, experiment.defaults
 
 
 def _point_seed(master: int, index: int) -> int:
@@ -189,45 +188,39 @@ def _with_separation(config: GateConfig, d: float) -> GateConfig:
                           t_int=time_for_pi(d, config.c6))
 
 
-def _sweep_row(spec: ExperimentSpec, config: GateConfig, param: str,
-               value: float, index: int) -> dict:
-    """Evaluate the full metric column set for one sweep point."""
+def _with_width(config: GateConfig, field_name: str, w: float) -> GateConfig:
+    p1 = dataclasses.replace(config.profile1, **{field_name: w})
+    p2 = dataclasses.replace(config.profile2, **{field_name: w})
+    return config.replace(profile1=p1, profile2=p2)
+
+
+def _sweep_row(spec: ExperimentSpec, config: GateConfig, _value: float,
+               seed: int) -> dict:
+    """Overlap, fidelity, momentum and efficiency columns of one point."""
     zd = zeta(config.replace(protocol=Direct()))
     zs = zeta(config.replace(protocol=Swap()))
     z = zs if isinstance(config.protocol, Swap) else zd
     coeffs = expansion_coefficients(config)
     eff = pair_efficiency(config)
     row = {
-        "sweep_param": param,
-        "sweep_value": value,
-        "status": "ok",
         "zeta_re": z.real,
         "zeta_im": z.imag,
-        "zeta_mc_re": "",
-        "zeta_mc_im": "",
-        "zeta_mc_se": "",
         "F_direct": fidelity_from_zeta(zd),
         "F_swap": fidelity_from_zeta(zs),
         "kD_analytic": coeffs.k_D,
-        "centroid_k1": "",
-        "centroid_k2": "",
         "ecc_analytic": coeffs.e_par,
-        "ecc_numeric": "",
-        "entropy": "",
         "eta_photon1": eff.photon1,
         "eta_photon2": eff.photon2,
         "eta_pair": eff.pair,
         "t_pi": eff.t_pi,
-        "error": "",
     }
     if spec.mc_samples is not None:
-        z_mc, se = zeta_mc_oracle(config, n_samples=spec.mc_samples,
-                                  seed=_point_seed(spec.seed, index))
+        z_mc, se = zeta_mc_oracle(config, n_samples=spec.mc_samples, seed=seed)
         row.update(zeta_mc_re=z_mc.real, zeta_mc_im=z_mc.imag, zeta_mc_se=abs(se))
     # grid metrics are skipped (not fatal) when the slice would cross the
     # pair singularity; the overlap and efficiency columns stay valid
     try:
-        phased = phased_joint_grid(config, "par")
+        phased = phased_joint_grid(config)
     except OverlapError as exc:
         row["error"] = f"grid metrics skipped: {exc}"
         return row
@@ -239,20 +232,100 @@ def _sweep_row(spec: ExperimentSpec, config: GateConfig, param: str,
     return row
 
 
+def _swap_error_row(_spec: ExperimentSpec, config: GateConfig, value: float,
+                    seed: int) -> dict:
+    """Mean and spread of the swap fidelity under one positioning-error width."""
+    mp, sp = swap_error_average_fidelity(config, "par", value, n_samples=400, seed=seed)
+    mq, sq = swap_error_average_fidelity(config, "perp", value, n_samples=400, seed=seed)
+    return {"F_mean_par": mp, "F_std_par": sp, "F_mean_perp": mq, "F_std_perp": sq}
+
+
+def _density_rows(mmap):
+    k1, k2 = np.meshgrid(mmap.k1_axis, mmap.k2_axis, indexing="ij")
+    return zip(k1.ravel().tolist(), k2.ravel().tolist(), mmap.density.ravel().tolist())
+
+
+def _momentum_map_files(base: GateConfig):
+    """Density CSVs before the interaction and after each protocol."""
+    plain = build_joint_grid(base)
+    files, points = [], []
+    for label, protocol in (("before", None), ("direct", Direct()), ("swap", Swap())):
+        grid = plain if protocol is None else \
+            apply_interaction_phase(plain, base.replace(protocol=protocol))
+        mmap = momentum_map(grid)
+        files.append((f"momentum-map-{label}.csv", ("K1", "K2", "density"),
+                      _density_rows(mmap)))
+        c1, c2 = momentum_centroid(mmap)
+        ecc, angle = ellipse_metrics(mmap)
+        points.append({"param": "map", "value": label, "status": "ok",
+                       "centroid": [c1, c2], "eccentricity": ecc, "angle": angle})
+    return files, points
+
+
+def _angular_files(base: GateConfig):
+    """Retrieval-angle histograms of both excitations, before and after."""
+    dist = angular_distribution(base)
+    series = (dist.angles, dist.before_1, dist.before_2, dist.after_1, dist.after_2)
+    return ([("angular.csv", ("angle", "before_1", "before_2", "after_1", "after_2"),
+              zip(*(s.tolist() for s in series)))],
+            [{"param": "angular", "value": "histogram", "status": "ok"}])
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One study: what it sweeps and how it builds each point, or its maps.
+
+    A sweep sets ``configs`` (base config and sweep value to the (row label,
+    config) pairs of that value) and ``row`` (the ``columns`` a point fills,
+    from the spec, its config, its value and its seed).  A map sweeps
+    nothing: it sets ``files`` (base config to the (file name, header, rows)
+    it writes and its manifest points) and no ``row``.
+    """
+
+    param: str = ""
+    defaults: tuple = ()
+    configs: Callable | None = None
+    row: Callable = _sweep_row
+    columns: tuple = SWEEP_COLUMNS
+    files: Callable | None = None
+
+
+EXPERIMENTS = {
+    "momentum-map": _Experiment(row=None, files=_momentum_map_files),
+    "fidelity-vs-separation": _Experiment(
+        "separation", tuple(float(d) for d in range(15, 31)),
+        lambda base, d: [("separation", _with_separation(base, d))]),
+    "fidelity-vs-width": _Experiment(
+        "width", (8.0, 7.0, 6.0, 5.0, 4.0, 3.0),
+        lambda base, w: [(f"profile.{f}", _with_width(base, f, w))
+                         for f in ("w_par", "w_perp")]),
+    "entropy-vs-fidelity": _Experiment(
+        "c6_scale", tuple(round(0.1 * i, 3) for i in range(1, 11)),
+        lambda base, s: [("c6_scale", base.replace(c6=base.c6 * s))]),
+    "swap-error": _Experiment(
+        "err_sigma", (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0),
+        lambda base, _sigma: [("err_sigma", base.replace(protocol=Swap()))],
+        _swap_error_row, SWAP_ERROR_COLUMNS),
+    "angular": _Experiment(row=None, files=_angular_files),
+}
+
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
+
+
 def _evaluate_point(columns, param, value, compute, *args) -> tuple[dict, dict]:
     """CSV row and manifest entry of one sweep point, ``compute(*args)``.
 
     A physics failure becomes a failed row that gives the reason; every
     warning raised while the point is evaluated is recorded in both.
     """
+    row = dict.fromkeys(columns, "")
+    row.update(sweep_param=param, sweep_value=value, status="ok")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            row = compute(*args)
+            row.update(compute(*args))
         except Exception as exc:  # noqa: BLE001 - recorded, not silenced
-            row = {c: "" for c in columns}
-            row.update(sweep_param=param, sweep_value=value, status="failed",
-                       error=f"{type(exc).__name__}: {exc}")
+            row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
     raised = [f"{w.category.__name__}: {w.message}" for w in caught]
     row["warnings"] = " | ".join(raised)
     point = {"param": param, "value": value, "status": row["status"]}
@@ -262,49 +335,25 @@ def _evaluate_point(columns, param, value, compute, *args) -> tuple[dict, dict]:
     return row, point
 
 
-def _swap_error_row(base: GateConfig, value: float, seed: int) -> dict:
-    """Mean and spread of the swap fidelity under one positioning-error width."""
-    mp, sp = swap_error_average_fidelity(base, "par", value, n_samples=400, seed=seed)
-    mq, sq = swap_error_average_fidelity(base, "perp", value, n_samples=400, seed=seed)
-    return {"sweep_param": "err_sigma", "sweep_value": value, "status": "ok",
-            "F_mean_par": mp, "F_std_par": sp, "F_mean_perp": mq, "F_std_perp": sq,
-            "error": ""}
+def _sweep_files(spec: ExperimentSpec, experiment: _Experiment):
+    """One CSV row and manifest point per (value, label) of the sweep."""
+    pairs = ((value, label, config) for value in spec.sweep_values
+             for label, config in experiment.configs(spec.base, value))
+    rows, points = [], []
+    for index, (value, label, config) in enumerate(pairs):
+        row, point = _evaluate_point(
+            experiment.columns, label, value, experiment.row,
+            spec, config, value, _point_seed(spec.base.rng_seed, index))
+        rows.append([row[c] for c in experiment.columns])
+        points.append(point)
+    return [(f"{spec.name}.csv", experiment.columns, rows)], points
 
 
-def _iter_sweep_configs(spec: ExperimentSpec):
-    """Yield (value, config, param) per sweep point for the generic sweeps."""
-    name = spec.name
-    param = spec.sweep_param
-    for value in spec.sweep_values:
-        if name == "fidelity-vs-separation":
-            yield value, _with_separation(spec.base, value), param
-        elif name == "entropy-vs-fidelity":
-            yield value, spec.base.replace(c6=spec.base.c6 * value), param
-        elif name == "fidelity-vs-width":
-            for field_name in ("w_par", "w_perp"):
-                p1 = dataclasses.replace(spec.base.profile1, **{field_name: value})
-                p2 = dataclasses.replace(spec.base.profile2, **{field_name: value})
-                yield value, spec.base.replace(profile1=p1, profile2=p2), \
-                    f"profile.{field_name}"
-        else:
-            raise AssertionError(name)
-
-
-def _write_csv(path: Path, columns, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def _density_csv(path: Path, mmap):
+def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["K1", "K2", "density"])
-        for i, k1 in enumerate(mmap.k1_axis):
-            for j, k2 in enumerate(mmap.k2_axis):
-                writer.writerow([float(k1), float(k2), float(mmap.density[i, j])])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -315,75 +364,21 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     Returns the manifest dictionary.
     """
     started = time.perf_counter()
-    outdir = spec.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    points: list[dict] = []
-    rows: list[dict] = []
-
-    if spec.name in ("fidelity-vs-separation", "fidelity-vs-width",
-                     "entropy-vs-fidelity"):
-        for index, (value, config, param) in enumerate(_iter_sweep_configs(spec)):
-            row, point = _evaluate_point(SWEEP_COLUMNS, param, value, _sweep_row,
-                                         spec, config, param, value, index)
-            rows.append(row)
-            points.append(point)
-        csv_path = outdir / f"{spec.name}.csv"
-        _write_csv(csv_path, SWEEP_COLUMNS, rows)
-        outputs.append(csv_path.name)
-
-    elif spec.name == "swap-error":
-        base = spec.base
-        if not isinstance(base.protocol, Swap):
-            base = base.replace(protocol=Swap())
-        for index, value in enumerate(spec.sweep_values):
-            row, point = _evaluate_point(SWAP_ERROR_COLUMNS, "err_sigma", value,
-                                         _swap_error_row, base, value,
-                                         _point_seed(spec.seed, index))
-            rows.append(row)
-            points.append(point)
-        csv_path = outdir / "swap-error.csv"
-        _write_csv(csv_path, SWAP_ERROR_COLUMNS, rows)
-        outputs.append(csv_path.name)
-
-    elif spec.name == "momentum-map":
-        plain = build_joint_grid(spec.base, "par")
-        before = momentum_map(plain)
-        direct = momentum_map(apply_interaction_phase(
-            plain, spec.base.replace(protocol=Direct())))
-        swapped = momentum_map(apply_interaction_phase(
-            plain, spec.base.replace(protocol=Swap())))
-        for label, mmap in (("before", before), ("direct", direct),
-                            ("swap", swapped)):
-            path = outdir / f"momentum-map-{label}.csv"
-            _density_csv(path, mmap)
-            outputs.append(path.name)
-            c1, c2 = momentum_centroid(mmap)
-            ecc, angle = ellipse_metrics(mmap)
-            points.append({"param": "map", "value": label, "status": "ok",
-                           "centroid": [c1, c2], "eccentricity": ecc,
-                           "angle": angle})
-
-    elif spec.name == "angular":
-        dist = angular_distribution(spec.base)
-        path = outdir / "angular.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["angle", "before_1", "before_2", "after_1", "after_2"])
-            for i, theta in enumerate(dist.angles):
-                writer.writerow([
-                    float(theta), float(dist.before_1[i]), float(dist.before_2[i]),
-                    float(dist.after_1[i]), float(dist.after_2[i]),
-                ])
-        outputs.append(path.name)
-        points.append({"param": "angular", "value": "histogram", "status": "ok"})
+    experiment = EXPERIMENTS[spec.name]
+    spec.output_dir.mkdir(parents=True, exist_ok=True)
+    if experiment.files is None:
+        files, points = _sweep_files(spec, experiment)
+    else:
+        files, points = experiment.files(spec.base)
+    for file_name, header, rows in files:
+        _write_csv(spec.output_dir / file_name, header, rows)
 
     manifest = {
         "experiment": spec.name,
         "tool_version": __version__,
-        "seed": spec.seed,
+        "seed": spec.base.rng_seed,
         "mc_samples": spec.mc_samples,
-        "sweep_param": spec.sweep_param,
+        "sweep_param": experiment.param,
         "sweep_values": list(spec.sweep_values),
         "config": config_to_dict(spec.base),
         "c6_note": (
@@ -391,9 +386,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             if spec.base.c6_calibrated else ""
         ),
         "points": points,
-        "outputs": outputs,
+        "outputs": [file_name for file_name, _, _ in files],
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+    with open(spec.output_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest

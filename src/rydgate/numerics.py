@@ -15,9 +15,9 @@ The two-body problem is handled through two complementary reductions:
   its resolution level checks its accuracy.  An independent Monte Carlo
   oracle over the full 6D product density is provided for cross-validation.
 
-* Momentum maps, centroids, ellipse metrics and entanglement entropy use 2D
-  one-coordinate-per-excitation slices (parallel or perpendicular to the
-  separation), with the remaining coordinates frozen at the cloud centers.
+* Momentum maps, centroids, ellipse metrics and entanglement entropy use a
+  2D slice with one coordinate per excitation along the separation, the
+  transverse coordinates frozen at the cloud centers.
 
 Central-wavevector phases are omitted throughout: they factor out of every
 observable computed here, and momentum axes are measured relative to the
@@ -87,14 +87,14 @@ def _gauss_rule(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class JointAmplitudeGrid:
-    """Discretized complex amplitude psi(x1, x2) on one 2D slice.
+    """Discretized complex amplitude psi(x1, x2) on the parallel slice.
 
-    ``x1_axis`` / ``x2_axis`` are the coordinates of each excitation relative
-    to its own cloud center (um).  The squared amplitude integrates to one.
+    ``x1_axis`` / ``x2_axis`` are the coordinates of each excitation along
+    the separation, relative to its own cloud center (um).  The squared
+    amplitude integrates to one.
     """
 
     values: np.ndarray
-    axis: str
     x1_axis: np.ndarray
     x2_axis: np.ndarray
 
@@ -112,7 +112,7 @@ class JointAmplitudeGrid:
 
 @dataclass(frozen=True, eq=False)
 class MomentumMap:
-    """Normalized momentum-space density over (K1, K2) on one slice.
+    """Normalized momentum-space density over (K1, K2) on the parallel slice.
 
     ``amplitude`` is the position-space slice the density was transformed
     from, and ``marginal_power`` its unnormalized K1 and K2 marginals in FFT
@@ -122,7 +122,6 @@ class MomentumMap:
     """
 
     density: np.ndarray
-    axis: str
     k1_axis: np.ndarray
     k2_axis: np.ndarray
     amplitude: np.ndarray | None = None
@@ -136,27 +135,25 @@ class MomentumMap:
         )
 
 
-def _slice_axis(profile, axis: str, grid) -> np.ndarray:
+def _slice_axis(profile, grid) -> np.ndarray:
     n = grid.points_per_axis
-    half = grid.extent_sigmas * profile.sigma(axis)
+    half = grid.extent_sigmas * profile.sigma("par")
     dx = 2.0 * half / n
     return (np.arange(n) - n // 2) * dx
 
 
-def build_joint_grid(config: GateConfig, axis: str) -> JointAmplitudeGrid:
-    """Product-state amplitude f1(a) f2(b) on the chosen slice, normalized."""
-    if axis not in ("par", "perp"):
-        raise ValueError(f"unknown axis {axis!r}")
-    x1 = _slice_axis(config.profile1, axis, config.grid)
-    x2 = _slice_axis(config.profile2, axis, config.grid)
-    f1 = config.profile1.envelope(x1, axis)
-    f2 = config.profile2.envelope(x2, axis)
+def build_joint_grid(config: GateConfig) -> JointAmplitudeGrid:
+    """Product-state amplitude f1(a) f2(b) on the parallel slice, normalized."""
+    x1 = _slice_axis(config.profile1, config.grid)
+    x2 = _slice_axis(config.profile2, config.grid)
+    f1 = config.profile1.envelope(x1, "par")
+    f2 = config.profile2.envelope(x2, "par")
     d1 = x1[1] - x1[0]
     d2 = x2[1] - x2[0]
     f1 /= math.sqrt(np.sum(f1**2) * d1)
     f2 /= math.sqrt(np.sum(f2**2) * d2)
     values = (f1[:, None] * f2[None, :]).astype(complex)
-    return JointAmplitudeGrid(values=values, axis=axis, x1_axis=x1, x2_axis=x2)
+    return JointAmplitudeGrid(values=values, x1_axis=x1, x2_axis=x2)
 
 
 def _pair_phase(ct: float, swap: bool, x, rho2, far: float | None, shift):
@@ -176,38 +173,29 @@ def _pair_phase(ct: float, swap: bool, x, rho2, far: float | None, shift):
     return phase
 
 
-def apply_interaction_phase(
-    grid: JointAmplitudeGrid,
-    config: GateConfig,
-    eps_par: float = 0.0,
-    eps_perp: float = 0.0,
-) -> JointAmplitudeGrid:
+def apply_interaction_phase(grid: JointAmplitudeGrid,
+                            config: GateConfig) -> JointAmplitudeGrid:
     """Multiply the slice by the accumulated pair phase (norm-preserving).
 
     Direct protocol: exp(-i c6 t / D^6) with D the pair distance on the
     slice.  Swap protocol: two half-time phases, the second with the
-    separation reversed and shifted by the positioning error (eps_par,
-    eps_perp).
+    separation reversed.
     """
     d = config.separation_mag
-    rel = grid.x1_axis[:, None] - grid.x2_axis[None, :]
-    if grid.axis == "par":
-        # on the parallel slice the pair distance is |d + rel|; a grid whose
-        # relative offsets reach -d spans the singularity even if no sample
-        # lands exactly on it
-        rel_max = float(grid.x1_axis.max() - grid.x2_axis.min())
-        if rel_max >= d:
-            raise OverlapError(
-                "grid reaches zero pair distance; increase the separation "
-                "or reduce the widths or grid.extent_sigmas"
-            )
-        x, rho2, shift = d + rel, 0.0, eps_perp**2
-    else:
-        x, rho2, shift = d, rel * rel, 2.0 * eps_perp * rel + eps_perp**2
+    # on the parallel slice the pair distance is |d + rel|; a grid whose
+    # relative offsets reach -d spans the singularity even if no sample
+    # lands exactly on it
+    rel_max = float(grid.x1_axis.max() - grid.x2_axis.min())
+    if rel_max >= d:
+        raise OverlapError(
+            "grid reaches zero pair distance; increase the separation "
+            "or reduce the widths or grid.extent_sigmas"
+        )
+    x = d + (grid.x1_axis[:, None] - grid.x2_axis[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         phase = _pair_phase(config.c6 * config.t_int,
-                            isinstance(config.protocol, Swap), x, rho2,
-                            2.0 * d - eps_par, shift)
+                            isinstance(config.protocol, Swap), x, 0.0,
+                            2.0 * d, 0.0)
     if not np.all(np.isfinite(phase)):
         raise OverlapError(
             "zero pair distance on the grid; increase the separation or "
@@ -215,15 +203,14 @@ def apply_interaction_phase(
         )
     return JointAmplitudeGrid(
         values=grid.values * np.exp(-1j * phase),
-        axis=grid.axis,
         x1_axis=grid.x1_axis,
         x2_axis=grid.x2_axis,
     )
 
 
-def phased_joint_grid(config: GateConfig, axis: str) -> JointAmplitudeGrid:
+def phased_joint_grid(config: GateConfig) -> JointAmplitudeGrid:
     """Convenience: build the slice and apply the configured protocol phase."""
-    return apply_interaction_phase(build_joint_grid(config, axis), config)
+    return apply_interaction_phase(build_joint_grid(config), config)
 
 
 # --------------------------------------------------------------------------
@@ -476,7 +463,7 @@ def momentum_map(grid: JointAmplitudeGrid) -> MomentumMap:
     dk1 = k1[1] - k1[0]
     dk2 = k2[1] - k2[0]
     density /= np.sum(density) * dk1 * dk2
-    return MomentumMap(density=density, axis=grid.axis, k1_axis=k1, k2_axis=k2,
+    return MomentumMap(density=density, k1_axis=k1, k2_axis=k2,
                        amplitude=grid.values, marginal_power=marginals)
 
 
@@ -611,9 +598,7 @@ def entanglement_entropy(grid: JointAmplitudeGrid) -> float:
     try:
         sing = np.linalg.svd(matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise PhysicsError(
-            f"SVD failed on {matrix.shape} grid (axis={grid.axis!r})"
-        ) from exc
+        raise PhysicsError(f"SVD failed on {matrix.shape} grid") from exc
     lam = sing**2
     lam = lam / lam.sum()
     lam = lam[lam > ENTROPY_WEIGHT_CUTOFF]
@@ -692,7 +677,7 @@ def angular_distribution(config: GateConfig, axis_resolution: int = 121) -> Angu
     if axis_resolution < 3:
         raise ValueError("axis_resolution must be >= 3")
 
-    plain = build_joint_grid(config, "par")
+    plain = build_joint_grid(config)
     before = momentum_map(plain)
     after = momentum_map(apply_interaction_phase(plain, config))
 
@@ -720,7 +705,7 @@ def angular_distribution(config: GateConfig, axis_resolution: int = 121) -> Angu
 def gate_metrics(config: GateConfig, nodes: int = 64, check: bool = True) -> GateMetrics:
     """Evaluate the full metric set (overlap, fidelity, momentum, entropy)."""
     z = zeta(config, nodes=nodes, check=check)
-    phased = phased_joint_grid(config, "par")
+    phased = phased_joint_grid(config)
     mmap = momentum_map(phased)
     c1, c2 = momentum_centroid(mmap)
     ecc, angle = ellipse_metrics(mmap)

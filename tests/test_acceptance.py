@@ -86,7 +86,7 @@ def test_criterion_03_momentum_displacement(capsys):
     c = make_config(n=512)
     kD = expansion_coefficients(c).k_D
     d, ct = c.separation_mag, c.c6 * c.t_int
-    plain = build_joint_grid(c, "par")
+    plain = build_joint_grid(c)
     exact = momentum_map(apply_interaction_phase(plain, c))
 
     def worst(pair, ref):
@@ -105,12 +105,12 @@ def test_criterion_03_momentum_displacement(capsys):
     second = JointAmplitudeGrid(
         values=plain.values * np.exp(
             -1j * ct * (1 / d**6 - 6 * r / d**7 + 21 * r * r / d**8)),
-        axis="par", x1_axis=plain.x1_axis, x2_axis=plain.x2_axis)
+        x1_axis=plain.x1_axis, x2_axis=plain.x2_axis)
     rel_b = worst(momentum_centroid(momentum_map(second)), kD)
 
     # (c) the exact phase displaces narrow, distant clouds (S_par = 0.010) by +-kD
     far = make_config(d=80, w_par=1.0, n=512)
-    rel_c = worst(momentum_centroid(momentum_map(phased_joint_grid(far, "par"))),
+    rel_c = worst(momentum_centroid(momentum_map(phased_joint_grid(far))),
                   expansion_coefficients(far).k_D)
 
     h1, h2 = momentum_centroid(exact)
@@ -126,7 +126,7 @@ def test_criterion_03_momentum_displacement(capsys):
 def test_criterion_04_swap_compensation(capsys):
     c = make_config(n=512, protocol=Swap())
     kD = expansion_coefficients(c).k_D
-    s1, s2 = momentum_centroid(momentum_map(phased_joint_grid(c, "par")))
+    s1, s2 = momentum_centroid(momentum_map(phased_joint_grid(c)))
     frac = math.hypot(s1, s2) / kD
     report(capsys, 4, frac < 0.01, f"post-swap centroid = {frac * 100:.3f}% of kD")
 
@@ -138,7 +138,7 @@ def test_criterion_05_ellipse_structure(capsys):
         c = make_config(d=d, w_par=w, w_perp=4.0,
                         c6=S * d**8 / (21 * w * w), t=1.0, n=512)
         co = expansion_coefficients(c)
-        ecc, ang = ellipse_metrics(momentum_map(phased_joint_grid(c, "par")))
+        ecc, ang = ellipse_metrics(momentum_map(phased_joint_grid(c)))
         worst_ecc = max(worst_ecc, abs(ecc / co.e_par - 1))
         worst_ang = max(worst_ang, abs(abs(math.degrees(ang)) - 45.0))
     co = expansion_coefficients(make_config(d=100))
@@ -178,7 +178,7 @@ def test_criterion_08_entropy_fidelity_regression(capsys):
     for w_par in np.linspace(2.0, 8.0, 9):
         c = make_config(d=40, w_par=w_par, w_perp=8, protocol=Swap(), ext=4.0)
         z = zeta(c, nodes=96, check=False)
-        xs.append(entanglement_entropy(phased_joint_grid(c, "par")))
+        xs.append(entanglement_entropy(phased_joint_grid(c)))
         ys.append(1 - fidelity_from_zeta(z))
     xs, ys = np.array(xs), np.array(ys)
     design = np.vstack([xs, np.ones_like(xs)]).T
@@ -243,9 +243,9 @@ def test_criterion_12_determinism_and_convergence(capsys, tmp_path):
     blobs = []
     for sub in ("a", "b"):
         spec = ExperimentSpec(
-            name="entropy-vs-fidelity", base=make_config(),
-            output_dir=tmp_path / sub, sweep_param="c6_scale",
-            sweep_values=(0.5, 1.0), seed=12345, mc_samples=50_000)
+            name="entropy-vs-fidelity", base=make_config(rng_seed=12345),
+            output_dir=tmp_path / sub, sweep_values=(0.5, 1.0),
+            mc_samples=50_000)
         run_experiment(spec)
         blobs.append((tmp_path / sub / "entropy-vs-fidelity.csv").read_bytes())
     identical = blobs[0] == blobs[1]
@@ -254,9 +254,8 @@ def test_criterion_12_determinism_and_convergence(capsys, tmp_path):
     z64 = zeta(ref, nodes=64, check=False)
     z128 = zeta(ref, nodes=128, check=False)
     zeta_rel = abs(z128 - z64) / abs(z128)
-    g256 = phased_joint_grid(ref, "par")
-    g512 = phased_joint_grid(ref.replace(grid=ref.grid.__class__(512, 5.0)),
-                             "par")
+    g256 = phased_joint_grid(ref)
+    g512 = phased_joint_grid(ref.replace(grid=ref.grid.__class__(512, 5.0)))
     ent_rel = abs(entanglement_entropy(g512) - entanglement_entropy(g256)) \
         / entanglement_entropy(g512)
     c256, _ = momentum_centroid(momentum_map(g256))

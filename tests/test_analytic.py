@@ -92,8 +92,7 @@ class TestAnalyticDensity:
         K = np.linspace(-4, 4, 501)
         dens = analytic_momentum_density(K[:, None], K[None, :], "par", co, 3.0)
         dk = K[1] - K[0]
-        mm = MomentumMap(density=dens / (dens.sum() * dk * dk), axis="par",
-                         k1_axis=K, k2_axis=K)
+        mm = MomentumMap(density=dens / (dens.sum() * dk * dk), k1_axis=K, k2_axis=K)
         ecc, angle = ellipse_metrics(mm)
         assert ecc == pytest.approx(co.e_par, rel=1e-9)
         assert abs(angle) == pytest.approx(math.pi / 4, abs=1e-9)

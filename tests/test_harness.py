@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rydgate.core import ConfigError, Direct, Swap
@@ -15,7 +16,13 @@ from rydgate.harness import (
     default_sweep,
     run_experiment,
 )
-from rydgate.numerics import fidelity_from_zeta, zeta
+from rydgate.numerics import (
+    apply_interaction_phase,
+    build_joint_grid,
+    fidelity_from_zeta,
+    momentum_map,
+    zeta,
+)
 from rydgate import cli
 
 from conftest import make_config
@@ -35,7 +42,7 @@ def width_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("width")
     spec = ExperimentSpec(
         name="fidelity-vs-width", base=make_config(), output_dir=out,
-        sweep_param="width", sweep_values=(8.0, 6.5, 5.0))
+        sweep_values=(8.0, 6.5, 5.0))
     manifest = run_experiment(spec)
     rows = {(r["sweep_param"], float(r["sweep_value"])): r
             for r in read_rows(out / "fidelity-vs-width.csv")}
@@ -53,6 +60,18 @@ class TestSpec:
             ExperimentSpec(name="swap-error", base=paper_point,
                            output_dir=tmp_path, sweep_values=(0.0, 1.0, 0.5))
 
+    @pytest.mark.parametrize("name", ["momentum-map", "angular"])
+    def test_maps_take_no_sweep_values(self, tmp_path, paper_point, name):
+        with pytest.raises(ConfigError, match="no sweep values"):
+            ExperimentSpec(name=name, base=paper_point, output_dir=tmp_path,
+                           sweep_values=(1.0, 2.0))
+
+    @pytest.mark.parametrize("name", ["swap-error", "momentum-map", "angular"])
+    def test_mc_samples_only_for_overlap_sweeps(self, tmp_path, paper_point, name):
+        with pytest.raises(ConfigError, match="no mc_samples"):
+            ExperimentSpec(name=name, base=paper_point, output_dir=tmp_path,
+                           mc_samples=5)
+
     def test_default_sweeps_exist(self):
         for name in EXPERIMENT_NAMES:
             param, values = default_sweep(name)
@@ -63,12 +82,15 @@ class TestSpec:
 class TestRunExperiment:
     def test_separation_sweep_outputs(self, tmp_path, paper_point):
         spec = ExperimentSpec(
-            name="fidelity-vs-separation", base=paper_point,
-            output_dir=tmp_path, sweep_param="separation",
-            sweep_values=(18.0, 22.0), seed=3, mc_samples=20_000)
+            name="fidelity-vs-separation", base=make_config(rng_seed=3),
+            output_dir=tmp_path, sweep_values=(18.0, 22.0), mc_samples=20_000)
         manifest = run_experiment(spec)
         rows = read_rows(tmp_path / "fidelity-vs-separation.csv")
         assert [r["status"] for r in rows] == ["ok", "ok"]
+        # the sweep label comes from the experiment table
+        assert [r["sweep_param"] for r in rows] == ["separation"] * 2
+        assert manifest["sweep_param"] == "separation"
+        assert manifest["seed"] == 3
         assert list(rows[0]) == list(SWEEP_COLUMNS)
         assert manifest["config"]["c6_calibrated"] is True
         assert "calibration" in manifest["c6_note"]
@@ -82,9 +104,9 @@ class TestRunExperiment:
         out = []
         for sub in ("a", "b"):
             spec = ExperimentSpec(
-                name="entropy-vs-fidelity", base=paper_point,
-                output_dir=tmp_path / sub, sweep_param="c6_scale",
-                sweep_values=(0.5, 1.0), seed=11, mc_samples=20_000)
+                name="entropy-vs-fidelity", base=make_config(rng_seed=11),
+                output_dir=tmp_path / sub, sweep_values=(0.5, 1.0),
+                mc_samples=20_000)
             run_experiment(spec)
             out.append((tmp_path / sub / "entropy-vs-fidelity.csv").read_bytes())
         assert out[0] == out[1]
@@ -94,9 +116,9 @@ class TestRunExperiment:
         out = []
         for sub, seed in (("a", 1), ("b", 2)):
             spec = ExperimentSpec(
-                name="entropy-vs-fidelity", base=paper_point,
-                output_dir=tmp_path / sub, sweep_param="c6_scale",
-                sweep_values=(1.0,), seed=seed, mc_samples=20_000)
+                name="entropy-vs-fidelity", base=make_config(rng_seed=seed),
+                output_dir=tmp_path / sub, sweep_values=(1.0,),
+                mc_samples=20_000)
             run_experiment(spec)
             out.append(tmp_path / sub / "entropy-vs-fidelity.csv")
         assert out[0].read_bytes() != out[1].read_bytes()
@@ -106,9 +128,9 @@ class TestRunExperiment:
     def test_mc_columns_cross_check_zeta(self, tmp_path, paper_point):
         for sub, samples in (("off", None), ("on", 20_000)):
             spec = ExperimentSpec(
-                name="entropy-vs-fidelity", base=paper_point,
-                output_dir=tmp_path / sub, sweep_param="c6_scale",
-                sweep_values=(0.5, 1.0), seed=5, mc_samples=samples)
+                name="entropy-vs-fidelity", base=make_config(rng_seed=5),
+                output_dir=tmp_path / sub, sweep_values=(0.5, 1.0),
+                mc_samples=samples)
             run_experiment(spec)
             rows = read_rows(tmp_path / sub / "entropy-vs-fidelity.csv")
             if samples is None:
@@ -125,8 +147,7 @@ class TestRunExperiment:
         # every row overlap is the guarded, checked quadrature's, bit for bit
         spec = ExperimentSpec(
             name="fidelity-vs-separation", base=paper_point,
-            output_dir=tmp_path, sweep_param="separation",
-            sweep_values=(17.0, 25.0))
+            output_dir=tmp_path, sweep_values=(17.0, 25.0))
         run_experiment(spec)
         for r in read_rows(tmp_path / "fidelity-vs-separation.csv"):
             config = _with_separation(paper_point, float(r["sweep_value"]))
@@ -140,6 +161,7 @@ class TestRunExperiment:
     def test_width_sweep_degrades_gracefully(self, width_sweep):
         rows, points = width_sweep
         assert len(rows) == 6  # two series per sweep value
+        assert {param for param, _ in rows} == {"profile.w_par", "profile.w_perp"}
         # w_par = 8 at d = 21: the singularity guard rejects the overlap
         wide = rows["profile.w_par", 8.0]
         assert wide["status"] == "failed"
@@ -169,9 +191,8 @@ class TestRunExperiment:
 
     def test_swap_error_schema(self, tmp_path, paper_point):
         spec = ExperimentSpec(
-            name="swap-error", base=paper_point.replace(protocol=Swap()),
-            output_dir=tmp_path, sweep_param="err_sigma",
-            sweep_values=(0.0, 0.5), seed=2)
+            name="swap-error", base=make_config(protocol=Swap(), rng_seed=2),
+            output_dir=tmp_path, sweep_values=(0.0, 0.5))
         run_experiment(spec)
         rows = read_rows(tmp_path / "swap-error.csv")
         assert list(rows[0]) == list(SWAP_ERROR_COLUMNS)
@@ -188,6 +209,26 @@ class TestRunExperiment:
         by_label = {p["value"]: p for p in manifest["points"]}
         assert abs(by_label["direct"]["centroid"][0]) > 10 * abs(
             by_label["swap"]["centroid"][0])
+
+    def test_momentum_map_csv_reads_back_bit_for_bit(self, tmp_path):
+        base = make_config(n=64)
+        run_experiment(ExperimentSpec(name="momentum-map", base=base,
+                                      output_dir=tmp_path))
+        plain = build_joint_grid(base)
+        grids = {"before": plain}
+        for label, protocol in (("direct", Direct()), ("swap", Swap())):
+            grids[label] = apply_interaction_phase(
+                plain, base.replace(protocol=protocol))
+        for label, grid in grids.items():
+            mmap = momentum_map(grid)
+            with open(tmp_path / f"momentum-map-{label}.csv", newline="") as fh:
+                reader = csv.reader(fh)
+                assert next(reader) == ["K1", "K2", "density"]
+                table = np.array([[float(v) for v in row] for row in reader])
+            k1, k2 = np.meshgrid(mmap.k1_axis, mmap.k2_axis, indexing="ij")
+            assert np.array_equal(table[:, 0], k1.ravel())
+            assert np.array_equal(table[:, 1], k2.ravel())
+            assert np.array_equal(table[:, 2], mmap.density.ravel())
 
     def test_angular_output(self, tmp_path):
         spec = ExperimentSpec(name="angular", base=make_config(n=64),
@@ -266,6 +307,19 @@ class TestCli:
     def test_validate_calibration_error_names_key(self, capsys, key, value):
         assert cli.main(["validate", "--set", f"interaction.{key}={value}"]) == 2
         assert f"interaction.{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, option, value", [
+        ("angular", "--sweep", "1,2"),
+        ("momentum-map", "--mc-samples", "5"),
+        ("swap-error", "--mc-samples", "5"),
+    ])
+    def test_run_ignored_option_exits_2(self, tmp_path, capsys, experiment,
+                                        option, value):
+        code = cli.main(["run", "--experiment", experiment, option, value,
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / experiment).exists()
 
     def test_run_mc_samples_default_off(self):
         args = cli.build_parser().parse_args(["run", "--experiment", "angular"])

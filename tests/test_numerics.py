@@ -41,29 +41,21 @@ from conftest import make_config
 
 class TestJointGrid:
     def test_normalized(self, paper_point):
-        for axis in ("par", "perp"):
-            assert build_joint_grid(paper_point, axis).norm() == pytest.approx(
-                1.0, rel=1e-9)
+        assert build_joint_grid(paper_point).norm() == pytest.approx(1.0, rel=1e-9)
 
     def test_axis_extent_tracks_density_std(self, paper_point):
-        g = build_joint_grid(paper_point, "par")
+        g = build_joint_grid(paper_point)
         assert g.x1_axis.max() == pytest.approx(5.0 * 1.5, rel=0.02)
-        g = build_joint_grid(paper_point, "perp")
-        assert g.x1_axis.max() == pytest.approx(5.0 * 4.0, rel=0.02)
-
-    def test_unknown_axis(self, paper_point):
-        with pytest.raises(ValueError):
-            build_joint_grid(paper_point, "radial")
 
 
 class TestInteractionPhase:
     def test_norm_preserving(self, paper_point):
-        g = phased_joint_grid(paper_point, "par")
+        g = phased_joint_grid(paper_point)
         assert g.norm() == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_time_identity(self, paper_point):
         c = paper_point.replace(t_int=0.0)
-        g0 = build_joint_grid(c, "par")
+        g0 = build_joint_grid(c)
         g = apply_interaction_phase(g0, c)
         assert np.allclose(g.values, g0.values)
 
@@ -71,11 +63,11 @@ class TestInteractionPhase:
         # widths so large the parallel slice reaches the partner cloud
         c = make_config(d=21, w_par=8, w_perp=8)
         with pytest.raises(OverlapError):
-            phased_joint_grid(c, "par")
+            phased_joint_grid(c)
 
     def test_swap_is_two_half_phases(self, paper_point):
         half = paper_point.replace(t_int=2.5)
-        g0 = build_joint_grid(paper_point, "par")
+        g0 = build_joint_grid(paper_point)
         first = apply_interaction_phase(g0, half)
         swapped = apply_interaction_phase(
             g0, paper_point.replace(protocol=Swap()))
@@ -255,18 +247,18 @@ class TestFidelity:
 
 class TestMomentumMap:
     def test_normalized(self, paper_point):
-        mm = momentum_map(phased_joint_grid(paper_point, "par"))
+        mm = momentum_map(phased_joint_grid(paper_point))
         dk1, dk2 = mm.spacing
         assert mm.density.sum() * dk1 * dk2 == pytest.approx(1.0, rel=1e-9)
 
     def test_plane_wave_shift_convention(self, paper_point):
         # multiplying by exp(+i k0 x) must move the density to K = +k0
-        g = build_joint_grid(paper_point, "par")
+        g = build_joint_grid(paper_point)
 
         def ramp(k0):
             return momentum_map(JointAmplitudeGrid(
                 values=g.values * np.exp(1j * k0 * g.x1_axis)[:, None],
-                axis="par", x1_axis=g.x1_axis, x2_axis=g.x2_axis))
+                x1_axis=g.x1_axis, x2_axis=g.x2_axis))
 
         k0 = 1.3
         c1, c2 = momentum_centroid(ramp(k0), method="mean")
@@ -281,26 +273,25 @@ class TestMomentumMap:
     def test_median_independent_of_momentum_bin(self, paper_point):
         # zero-padding the slice halves dk but leaves the sampled amplitude's
         # transform, and so its exact median, unchanged
-        g = phased_joint_grid(paper_point, "par")
+        g = phased_joint_grid(paper_point)
         n = g.values.shape[0]
         values = np.zeros((2 * n, 2 * n), dtype=complex)
         values[:n, :n] = g.values
         x = g.x1_axis[0] + np.arange(2 * n) * g.spacing[0]
-        padded = JointAmplitudeGrid(values=values, axis="par", x1_axis=x,
-                                    x2_axis=x)
+        padded = JointAmplitudeGrid(values=values, x1_axis=x, x2_axis=x)
         coarse = momentum_centroid(momentum_map(g))
         fine = momentum_centroid(momentum_map(padded))
         assert fine == pytest.approx(coarse, abs=1e-9)
 
     def test_interaction_displaces_opposite(self, paper_point):
-        mm = momentum_map(phased_joint_grid(paper_point, "par"))
+        mm = momentum_map(phased_joint_grid(paper_point))
         c1, c2 = momentum_centroid(mm)
         assert c1 > 0 > c2
         # symmetric up to the grid's extra sample at -n/2 (exact on 2m+1 points)
         assert c1 == pytest.approx(-c2, rel=1e-4)
 
     def test_median_robust_against_mean(self, paper_point):
-        mm = momentum_map(phased_joint_grid(paper_point, "par"))
+        mm = momentum_map(phased_joint_grid(paper_point))
         med, _ = momentum_centroid(mm)
         mean, _ = momentum_centroid(mm, method="mean")
         kD = expansion_coefficients(paper_point).k_D
@@ -339,37 +330,35 @@ class TestMomentumMap:
              "unequal": paper_point.replace(profile2=dataclasses.replace(
                  paper_point.profile2, w_par=4.0)),
              "coarse": make_config(n=32)}[slice_]
-        mm = momentum_map(phased_joint_grid(c, "par"))
+        mm = momentum_map(phased_joint_grid(c))
         dk1, dk2 = mm.spacing
         expected = (self._padded_median(mm.amplitude.T, dk1),
                     self._padded_median(mm.amplitude, dk2))
         assert momentum_centroid(mm) == pytest.approx(expected, rel=0, abs=1e-14)
 
     def test_median_needs_amplitude(self, paper_point):
-        mm = momentum_map(build_joint_grid(paper_point, "par"))
-        bare = MomentumMap(density=mm.density, axis="par",
-                           k1_axis=mm.k1_axis, k2_axis=mm.k2_axis)
+        mm = momentum_map(build_joint_grid(paper_point))
+        bare = MomentumMap(density=mm.density, k1_axis=mm.k1_axis, k2_axis=mm.k2_axis)
         with pytest.raises(ValueError):
             momentum_centroid(bare)
         assert momentum_centroid(bare, method="mean") == \
             momentum_centroid(mm, method="mean")
 
     def test_unknown_method(self, paper_point):
-        mm = momentum_map(build_joint_grid(paper_point, "par"))
+        mm = momentum_map(build_joint_grid(paper_point))
         with pytest.raises(ValueError):
             momentum_centroid(mm, method="mode")
 
 
 class TestEllipse:
     def test_circular_map_returns_zero(self, paper_point):
-        mm = momentum_map(build_joint_grid(make_config(w_par=3, w_perp=3),
-                                           "par"))
+        mm = momentum_map(build_joint_grid(make_config(w_par=3, w_perp=3)))
         # the moments' rounding leaves e ~ 1e-8, below the circular cut
         assert ellipse_metrics(mm) == (0.0, 0.0)
 
     def test_antidiagonal_elongation(self):
         c = make_config(d=45)
-        ecc, angle = ellipse_metrics(momentum_map(phased_joint_grid(c, "par")))
+        ecc, angle = ellipse_metrics(momentum_map(phased_joint_grid(c)))
         assert 0 < ecc < 1
         assert abs(angle) == pytest.approx(math.pi / 4, abs=math.radians(0.1))
 
@@ -377,17 +366,16 @@ class TestEllipse:
 class TestEntropy:
     def test_product_state_zero(self, paper_point):
         assert entanglement_entropy(
-            build_joint_grid(paper_point, "par")) == pytest.approx(0.0,
-                                                                   abs=1e-10)
+            build_joint_grid(paper_point)) == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_like_matrix(self):
-        g = JointAmplitudeGrid(values=np.eye(2, dtype=complex), axis="par",
+        g = JointAmplitudeGrid(values=np.eye(2, dtype=complex),
                                x1_axis=np.array([0.0, 1.0]),
                                x2_axis=np.array([0.0, 1.0]))
         assert entanglement_entropy(g) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_matches_reduced_density_eigenvalues(self, paper_point):
-        g = phased_joint_grid(paper_point, "par")
+        g = phased_joint_grid(paper_point)
         d1, d2 = g.spacing
         m = g.values * math.sqrt(d1 * d2)
         rho = m @ m.conj().T
@@ -400,16 +388,16 @@ class TestEntropy:
     def test_grows_with_interaction_time(self, paper_point):
         values = [
             entanglement_entropy(
-                phased_joint_grid(paper_point.replace(t_int=t), "par"))
+                phased_joint_grid(paper_point.replace(t_int=t)))
             for t in (1.0, 2.0, 3.0, 4.0, 5.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_swap_keeps_entanglement_in_expansion_regime(self):
         direct = make_config(d=60, w_par=2, w_perp=4)
-        eD = entanglement_entropy(phased_joint_grid(direct, "par"))
+        eD = entanglement_entropy(phased_joint_grid(direct))
         eS = entanglement_entropy(
-            phased_joint_grid(direct.replace(protocol=Swap()), "par"))
+            phased_joint_grid(direct.replace(protocol=Swap())))
         assert abs(eD - eS) < 1e-3
         assert eD > 0
 
