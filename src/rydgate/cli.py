@@ -24,7 +24,6 @@ from .core import _parse_float  # shared "pi" literal handling
 from .harness import (
     EXPERIMENT_NAMES,
     ExperimentSpec,
-    default_sweep,
     run_experiment,
 )
 
@@ -94,7 +93,7 @@ def _cmd_run(args) -> int:
     config = validate_config(_raw_from_args(args))
     name = args.experiment
     values = tuple(_parse_float(v, "--sweep") for v in args.sweep.split(",")) \
-        if args.sweep else default_sweep(name)[1]
+        if args.sweep else ()
     outdir = Path(args.out or os.environ.get("RYDGATE_OUT", "rydgate-out")) / name
     spec = ExperimentSpec(name=name, base=config, output_dir=outdir,
                           sweep_values=values, mc_samples=args.mc_samples)

@@ -108,7 +108,8 @@ SWAP_ERROR_COLUMNS = (
 class ExperimentSpec:
     """One named experiment: base configuration plus a sweep.
 
-    The base configuration's ``rng_seed`` is the master seed.
+    The base configuration's ``rng_seed`` is the master seed.  A sweep
+    experiment given no ``sweep_values`` runs its default values.
     """
 
     name: str
@@ -121,7 +122,7 @@ class ExperimentSpec:
         experiment = EXPERIMENTS.get(self.name)
         if experiment is None:
             raise ConfigError(f"unknown experiment {self.name!r}")
-        values = tuple(float(v) for v in self.sweep_values)
+        values = tuple(float(v) for v in self.sweep_values) or experiment.defaults
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if values and experiment.configs is None:
@@ -224,11 +225,12 @@ def _sweep_row(spec: ExperimentSpec, config: GateConfig, _value: float,
     except OverlapError as exc:
         row["error"] = f"grid metrics skipped: {exc}"
         return row
+    # entropy before the map: its SVD copies are gone before the map's grids
+    row["entropy"] = entanglement_entropy(phased)
     mmap = momentum_map(phased)
     c1, c2 = momentum_centroid(mmap)
     ecc, _angle = ellipse_metrics(mmap)
-    row.update(centroid_k1=c1, centroid_k2=c2, ecc_numeric=ecc,
-               entropy=entanglement_entropy(phased))
+    row.update(centroid_k1=c1, centroid_k2=c2, ecc_numeric=ecc)
     return row
 
 

@@ -17,7 +17,9 @@ The two-body problem is handled through two complementary reductions:
 
 * Momentum maps, centroids, ellipse metrics and entanglement entropy use a
   2D slice with one coordinate per excitation along the separation, the
-  transverse coordinates frozen at the cloud centers.
+  transverse coordinates frozen at the cloud centers.  The pair distance on
+  the slice, d + x1_a - x2_b, depends on a - b alone when both axes share
+  one spacing, so the phase is then evaluated once per diagonal.
 
 Central-wavevector phases are omitted throughout: they factor out of every
 observable computed here, and momentum axes are measured relative to the
@@ -59,6 +61,11 @@ ENTROPY_WEIGHT_CUTOFF = 1e-14
 #: quadrature leaves out at each end of its axial range (6e-16 of the mass
 #: per side)
 ZETA_TAIL_STDS = 8.0
+
+#: most elements per chunk of the zeta kernel and of the median's row
+#: transforms: 256 KiB per complex temporary, below the blocks that glibc
+#: hands back to the operating system, to be re-faulted, after every call
+CHUNK_ELEMENTS = 2**14
 
 #: largest zeta resolution level (160 Gauss-Laguerre nodes): numpy's
 #: Gauss-Laguerre weights overflow between 180 and 192 nodes
@@ -152,7 +159,7 @@ def build_joint_grid(config: GateConfig) -> JointAmplitudeGrid:
     d2 = x2[1] - x2[0]
     f1 /= math.sqrt(np.sum(f1**2) * d1)
     f2 /= math.sqrt(np.sum(f2**2) * d2)
-    values = (f1[:, None] * f2[None, :]).astype(complex)
+    values = np.multiply(f1[:, None], f2[None, :], dtype=complex)
     return JointAmplitudeGrid(values=values, x1_axis=x1, x2_axis=x2)
 
 
@@ -179,33 +186,38 @@ def apply_interaction_phase(grid: JointAmplitudeGrid,
 
     Direct protocol: exp(-i c6 t / D^6) with D the pair distance on the
     slice.  Swap protocol: two half-time phases, the second with the
-    separation reversed.
+    separation reversed.  D = d + x1_a - x2_b depends on a - b alone when
+    both axes share one spacing, so the phase factor is then evaluated once
+    per diagonal, at the 2n - 1 offsets, and laid out as a Toeplitz view.
     """
     d = config.separation_mag
+    x1, x2 = grid.x1_axis, grid.x2_axis
     # on the parallel slice the pair distance is |d + rel|; a grid whose
     # relative offsets reach -d spans the singularity even if no sample
     # lands exactly on it
-    rel_max = float(grid.x1_axis.max() - grid.x2_axis.min())
-    if rel_max >= d:
+    if float(x1.max() - x2.min()) >= d:
         raise OverlapError(
             "grid reaches zero pair distance; increase the separation "
             "or reduce the widths or grid.extent_sigmas"
         )
-    x = d + (grid.x1_axis[:, None] - grid.x2_axis[None, :])
+    toeplitz = x1.size == x2.size and grid.spacing[0] == grid.spacing[1]
+    # offset k = n - 1 + a - b of each diagonal, from the first row and column
+    rel = np.concatenate((x1[0] - x2[:0:-1], x1 - x2[0])) if toeplitz \
+        else x1[:, None] - x2[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         phase = _pair_phase(config.c6 * config.t_int,
-                            isinstance(config.protocol, Swap), x, 0.0,
+                            isinstance(config.protocol, Swap), d + rel, 0.0,
                             2.0 * d, 0.0)
     if not np.all(np.isfinite(phase)):
         raise OverlapError(
             "zero pair distance on the grid; increase the separation or "
             "reduce grid.extent_sigmas"
         )
-    return JointAmplitudeGrid(
-        values=grid.values * np.exp(-1j * phase),
-        x1_axis=grid.x1_axis,
-        x2_axis=grid.x2_axis,
-    )
+    factor = np.exp(-1j * phase)
+    if toeplitz:
+        # T[a, b] = factor[n - 1 + a - b], without a copy
+        factor = np.lib.stride_tricks.sliding_window_view(factor[::-1], x1.size)[::-1]
+    return JointAmplitudeGrid(values=grid.values * factor, x1_axis=x1, x2_axis=x2)
 
 
 def phased_joint_grid(config: GateConfig) -> JointAmplitudeGrid:
@@ -325,13 +337,13 @@ def _zeta_quadrature(
         shift = (2.0 * eps_perp * np.sqrt(rho2)[:, None] * cos_a + eps_perp**2).ravel()
         rho2 = np.repeat(rho2, m)
         wu = np.outer(wu, w_az).ravel()
-    total = 0.0 + 0.0j
-    rows = max(1, 2**17 // rho2.size)     # bounds the temporaries to ~2 MB each
+    radial = np.empty(x.size, dtype=complex)
+    rows = max(1, CHUNK_ELEMENTS // rho2.size)
     for i in range(0, x.size, rows):
         phase = _pair_phase(ct, swap, x[i:i + rows, None], rho2, far, shift)
-        total += complex(wx[i:i + rows] @ (np.exp(-1j * phase) @ wu))
+        radial[i:i + rows] = np.exp(-1j * phase) @ wu
         del phase     # not alive while the next chunk's phase is built
-    return total
+    return complex(wx @ radial)
 
 
 def zeta(
@@ -453,7 +465,8 @@ def momentum_map(grid: JointAmplitudeGrid) -> MomentumMap:
     """
     n1, n2 = grid.values.shape
     d1, d2 = grid.spacing
-    power = np.abs(np.fft.fft2(grid.values)) ** 2
+    power = np.abs(np.fft.fft2(grid.values))
+    power *= power
     # by Parseval over the other axis, each marginal of the 2D power is that
     # axis's length times the summed power of the 1D transforms along its own
     marginals = (power.sum(axis=1) / n2, power.sum(axis=0) / n1)
@@ -476,15 +489,23 @@ def _marginal_median(rows: np.ndarray, even: np.ndarray, dk: float) -> float:
     trigonometric polynomial on [-pi, pi).  Its 2n - 1 coefficients are the
     autocorrelations R(m) of the rows, which M at u_q = pi q / n gives
     exactly, so its CDF is closed-form.  ``even`` holds the samples at even
-    q; the odd ones are n-point transforms of the rows times exp(-i pi j / n).
+    q; the odd ones are n-point transforms of the rows times exp(-i pi j / n),
+    taken a block of rows at a time.
     The CDF on the 2n samples brackets the median to half a momentum bin,
     and safeguarded Newton steps on the closed form refine it.
     """
     n = rows.shape[1]
-    # a contiguous product transforms faster than a strided axis
-    odd = np.fft.fft(np.multiply(rows, np.exp(-1j * math.pi / n * np.arange(n)),
-                                 order="C"), axis=1)
-    power = np.column_stack((even, (np.abs(odd) ** 2).sum(axis=0))).ravel()
+    twist = np.exp(-1j * math.pi / n * np.arange(n))
+    step = max(1, CHUNK_ELEMENTS // n)
+    odd = 0.0
+    for i in range(0, rows.shape[0], step):
+        # a contiguous product transforms faster than a strided axis
+        block = np.abs(np.fft.fft(np.multiply(rows[i:i + step], twist, order="C"),
+                                  axis=1))
+        block *= block
+        block[0] += odd      # rows are summed in order, as by one sum over all
+        odd = block.sum(axis=0)
+    power = np.column_stack((even, odd)).ravel()
     R = np.fft.ifft(power)[:n]
     r0 = float(R[0].real)
     if not r0 > 0:
@@ -565,7 +586,7 @@ def ellipse_metrics(mmap: MomentumMap) -> tuple[float, float]:
     """
     dk1, dk2 = mmap.spacing
     p = mmap.density * dk1 * dk2
-    p = p / p.sum()
+    p /= p.sum()
     k1, k2 = mmap.k1_axis, mmap.k2_axis
     marg1, marg2 = p.sum(axis=1), p.sum(axis=0)
     m1, m2 = float(marg1 @ k1), float(marg2 @ k2)
@@ -706,6 +727,8 @@ def gate_metrics(config: GateConfig, nodes: int = 64, check: bool = True) -> Gat
     """Evaluate the full metric set (overlap, fidelity, momentum, entropy)."""
     z = zeta(config, nodes=nodes, check=check)
     phased = phased_joint_grid(config)
+    # entropy before the map: its SVD copies are gone before the map's grids
+    entropy = entanglement_entropy(phased)
     mmap = momentum_map(phased)
     c1, c2 = momentum_centroid(mmap)
     ecc, angle = ellipse_metrics(mmap)
@@ -716,5 +739,5 @@ def gate_metrics(config: GateConfig, nodes: int = 64, check: bool = True) -> Gat
         k_centroid_2=c2,
         eccentricity=ecc,
         ellipse_angle=angle,
-        entropy=entanglement_entropy(phased),
+        entropy=entropy,
     )

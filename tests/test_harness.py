@@ -80,6 +80,16 @@ class TestSpec:
 
 
 class TestRunExperiment:
+    def test_empty_sweep_runs_defaults(self, tmp_path):
+        spec = ExperimentSpec(name="fidelity-vs-separation",
+                              base=make_config(n=64), output_dir=tmp_path)
+        manifest = run_experiment(spec)
+        rows = read_rows(tmp_path / "fidelity-vs-separation.csv")
+        defaults = list(default_sweep("fidelity-vs-separation")[1])
+        assert len(rows) == 16
+        assert [float(r["sweep_value"]) for r in rows] == defaults
+        assert manifest["sweep_values"] == defaults
+
     def test_separation_sweep_outputs(self, tmp_path, paper_point):
         spec = ExperimentSpec(
             name="fidelity-vs-separation", base=make_config(rng_seed=3),

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rydgate import numerics
 from rydgate.core import (
     AccuracyWarning,
     Direct,
@@ -74,6 +75,52 @@ class TestInteractionPhase:
         # the first half of the swap phase equals the direct half-time phase
         ratio = swapped.values / first.values
         assert np.allclose(np.abs(ratio), 1.0)
+
+    @staticmethod
+    def full_phase(grid, config):
+        """The phased slice with the pair phase evaluated at every point."""
+        d = config.separation_mag
+        x = d + (grid.x1_axis[:, None] - grid.x2_axis[None, :])
+        phase = numerics._pair_phase(config.c6 * config.t_int,
+                                     isinstance(config.protocol, Swap), x, 0.0,
+                                     2.0 * d, 0.0)
+        return grid.values * np.exp(-1j * phase)
+
+    @pytest.mark.parametrize("protocol", [Direct(), Swap()])
+    @pytest.mark.parametrize("d, w_par", [(21.0, 3.0), (21.0, 2.7), (18.18, 2.374)])
+    def test_diagonal_phase_matches_full_evaluation(self, monkeypatch, protocol,
+                                                    d, w_par):
+        c = make_config(d=d, w_par=w_par, protocol=protocol)
+        g0 = build_joint_grid(c)
+        sizes = []
+
+        def spy(ct, swap, x, *args):
+            sizes.append(np.size(x))
+            return pair_phase(ct, swap, x, *args)
+
+        pair_phase = numerics._pair_phase
+        monkeypatch.setattr(numerics, "_pair_phase", spy)
+        got = apply_interaction_phase(g0, c).values
+        n = c.grid.points_per_axis
+        assert sizes == [2 * n - 1]
+        want = self.full_phase(g0, c)
+        if w_par == 3.0:
+            # the spacing 15/256 is exact in binary, and so is every offset
+            assert np.array_equal(got, want)
+        else:
+            # a diagonal's offset, taken from the first row or column, may
+            # differ from x1_a - x2_b by an ulp (2.374: 8% of the points,
+            # by up to 6e-15 of the peak amplitude)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(g0.values))
+
+    @pytest.mark.parametrize("protocol", [Direct(), Swap()])
+    def test_unequal_widths_evaluate_every_point(self, paper_point, protocol):
+        c = paper_point.replace(
+            protocol=protocol,
+            profile2=dataclasses.replace(paper_point.profile2, w_par=4.0))
+        g0 = build_joint_grid(c)
+        assert np.array_equal(apply_interaction_phase(g0, c).values,
+                              self.full_phase(g0, c))
 
 
 class TestZeta:
@@ -167,6 +214,20 @@ class TestZeta:
                 zeta(c)
             best = min(best, time.perf_counter() - start)
         assert best < 0.1
+
+    @pytest.mark.parametrize("nodes", [64, 128])
+    @pytest.mark.parametrize("protocol, eps", [
+        (Direct(), {}), (Swap(), {}), (Swap(), {"eps_par": 0.5}),
+        (Swap(), {"eps_perp": 0.5})])
+    @pytest.mark.parametrize("d", [15.0, 21.0, 30.0])
+    def test_chunk_bound_leaves_result_unchanged(self, monkeypatch, d, protocol,
+                                                 eps, nodes):
+        c = make_config(d=d, protocol=protocol)
+        results = set()
+        for bound in (2**17, 2**14, 2**12):
+            monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", bound)
+            results.add(zeta(c, nodes=nodes, check=False, **eps))
+        assert len(results) == 1
 
     def test_level_out_of_range(self, paper_point):
         for nodes in (4, 512):
@@ -335,6 +396,14 @@ class TestMomentumMap:
         expected = (self._padded_median(mm.amplitude.T, dk1),
                     self._padded_median(mm.amplitude, dk2))
         assert momentum_centroid(mm) == pytest.approx(expected, rel=0, abs=1e-14)
+
+    def test_median_independent_of_chunk_bound(self, paper_point, monkeypatch):
+        mm = momentum_map(phased_joint_grid(paper_point))
+        medians = set()
+        for bound in (2**17, 2**14, 2**10):
+            monkeypatch.setattr(numerics, "CHUNK_ELEMENTS", bound)
+            medians.add(momentum_centroid(mm))
+        assert len(medians) == 1
 
     def test_median_needs_amplitude(self, paper_point):
         mm = momentum_map(build_joint_grid(paper_point))
